@@ -19,7 +19,7 @@ from .backbone import (
     param_count,
     train_step,
 )
-from .ema import CACHE_MODES, CacheModel, cache_forward, cache_init, cache_update
+from .ema import CacheModel, cache_forward, cache_init, cache_update
 from .errors import (
     AlignmentError,
     AlphaOutOfRange,
@@ -42,7 +42,6 @@ from .evaluation import EvalReport, dsc, evaluate_set, foreground_ratio, split_f
 from .geometry import (
     GaussianKernel,
     bbox_from_mask,
-    crop,
     crop_like,
     gaussian_smooth,
     gaussian_smooth_adjoint,
@@ -80,10 +79,7 @@ from .trainer import (
     history_to_json,
     load_cache,
     run_full,
-    run_phase1,
-    run_phase2,
-    run_phase3,
-    run_segmentation_stage,
+    run_phase,
 )
 from .types import (
     BBox,

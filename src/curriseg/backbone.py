@@ -63,7 +63,7 @@ class OptimizerConfig:
     learning_rate: float = 1e-3
     batch_size: int = 8
     epochs: int = 10
-    seed: int = 0
+    seed: int | None = None  # None: PhaseConfig derives it from the run seed
 
     def __post_init__(self):
         if self.algorithm not in ("adam", "sgd_momentum"):

@@ -15,51 +15,49 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
-from .backbone import BackboneSpec, OptimizerConfig
+from .backbone import BackboneSpec
 from .errors import CorruptManifest, CurrisegError, LengthMismatch
 from .evaluation import evaluate_set
-from .geometry import GaussianKernel
 from .losses import LossConfig
 from .predictor import PredictConfig, predict
-from .rng import derive_seed
 from .storage import load_phase, save_mask, save_phase
 from .svg import line_chart
 from .synthdata import GenConfig, generate
-from .trainer import PhaseConfig, history_from_json, load_cache, run_full
+from .trainer import STAGES, PhaseConfig, history_from_json, load_cache, run_full
 from . import trainer
 
-_STAGE_FILES = {"I": "phase1", "II": "phase2", "III": "phase3", "seg": "segmentation"}
+# config section -> the dataclass it builds; the dataclass defaults are the
+# config defaults
+SECTIONS = {"backbone": BackboneSpec, "loss": LossConfig, "run": PhaseConfig, "predict": PredictConfig}
 
-DEFAULT_CONFIG: dict = {
-    "backbone": {"depth": 2, "base_channels": 8},
-    "loss": {
-        "eps_log": 1e-7,
-        "eps_div": 1e-7,
-        "normalize_bce": False,
-        "kernel_sigma": 1.0,
-        "kernel_radius": 3,
-    },
-    "run": {
-        "alpha": 0.99,
-        "switch_mode": "momentum",
-        "crop_margin": 12,
-        "d2_fallback": "whole_image",
-        "seed": 0,
-        "phase1": {"algorithm": "adam", "learning_rate": 3e-3, "batch_size": 8, "epochs": 4, "seed": None},
-        "phase2": {"algorithm": "adam", "learning_rate": 2e-3, "batch_size": 8, "epochs": 3, "seed": None},
-        "phase3": {"algorithm": "adam", "learning_rate": 2e-3, "batch_size": 8, "epochs": 17, "seed": None},
-        "segmentation": {"algorithm": "adam", "learning_rate": 2e-3, "batch_size": 8, "epochs": 10, "seed": None},
-    },
-    "predict": {
-        "crop_threshold": 0.5,
-        "final_threshold": 0.5,
-        "margin": 12,
-        "d_t": None,
-        "max_iters": 10,
-    },
-}
+
+def _default(f):
+    return f.default_factory() if f.default is MISSING else f.default
+
+
+def _tree(obj) -> dict:
+    """Constructor fields of a config dataclass as a nested dict; given a
+    class rather than an instance, its field defaults."""
+    out = {}
+    for f in fields(obj):
+        if f.init:
+            v = _default(f) if isinstance(obj, type) else getattr(obj, f.name)
+            out[f.name] = _tree(v) if is_dataclass(v) else v
+    return out
+
+
+def _build(cls, tree: dict):
+    """Inverse of `_tree`: construct `cls` from a complete nested dict."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.init:
+            nested = _default(f)
+            v = tree[f.name]
+            kwargs[f.name] = _build(type(nested), v) if is_dataclass(nested) else v
+    return cls(**kwargs)
 
 
 def _merge_config(defaults: dict, user: dict, prefix: str = "") -> dict:
@@ -79,8 +77,18 @@ def _merge_config(defaults: dict, user: dict, prefix: str = "") -> dict:
     return merged
 
 
+def _resolve(user: dict, sections: dict) -> dict:
+    """Overlay `user` onto the section defaults and build every section;
+    returns the built objects by section name."""
+    merged = _merge_config({name: _tree(cls) for name, cls in sections.items()}, user)
+    return {name: _build(cls, merged[name]) for name, cls in sections.items()}
+
+
 def load_config(path: str | None) -> dict:
-    """Read and resolve a config file; None means all defaults."""
+    """Read and resolve a config file; None means all defaults.
+
+    Returns the fully resolved document, per-stage seeds included.
+    """
     user: dict = {}
     if path is not None:
         text = Path(path).read_text()
@@ -90,49 +98,7 @@ def load_config(path: str | None) -> dict:
             raise CorruptManifest(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise CorruptManifest(f"{path}: config must be a JSON object")
-    cfg = _merge_config(DEFAULT_CONFIG, user)
-    # unset per-stage seeds follow from the run seed, so one knob moves all
-    for i, stage in enumerate(("phase1", "phase2", "phase3", "segmentation"), start=1):
-        if cfg["run"][stage]["seed"] is None:
-            cfg["run"][stage]["seed"] = derive_seed(cfg["run"]["seed"], 100 + i)
-    return cfg
-
-
-def _build_spec(cfg: dict) -> BackboneSpec:
-    return BackboneSpec(**cfg["backbone"])
-
-
-def _build_loss(cfg: dict) -> LossConfig:
-    d = cfg["loss"]
-    kernel = GaussianKernel(sigma=d["kernel_sigma"], radius=d["kernel_radius"])
-    return LossConfig(
-        eps_log=d["eps_log"], eps_div=d["eps_div"], kernel=kernel, normalize_bce=d["normalize_bce"]
-    )
-
-
-def _build_phase_config(cfg: dict) -> PhaseConfig:
-    r = cfg["run"]
-    opts = {name: OptimizerConfig(**r[name]) for name in ("phase1", "phase2", "phase3", "segmentation")}
-    return PhaseConfig(
-        phase1=opts["phase1"],
-        phase2=opts["phase2"],
-        phase3=opts["phase3"],
-        segmentation=opts["segmentation"],
-        alpha=r["alpha"],
-        switch_mode=r["switch_mode"],
-        crop_margin=r["crop_margin"],
-        d2_fallback=r["d2_fallback"],
-        seed=r["seed"],
-    )
-
-
-def _build_predict_config(cfg: dict, d_t=None, max_iters=None) -> PredictConfig:
-    d = dict(cfg["predict"])
-    if d_t is not None:
-        d["d_t"] = d_t
-    if max_iters is not None:
-        d["max_iters"] = max_iters
-    return PredictConfig(**d)
+    return {name: _tree(obj) for name, obj in _resolve(user, SECTIONS).items()}
 
 
 # ------------------------------------------------------------- commands
@@ -169,10 +135,10 @@ def cmd_gen(args) -> int:
 def _write_stage_logs(run_dir: Path, history) -> None:
     logs = run_dir / "logs"
     logs.mkdir(exist_ok=True)
-    by_stage: dict[str, list] = {}
-    for rec in history:
-        by_stage.setdefault(rec.phase, []).append(rec)
-    for label, recs in by_stage.items():
+    for name, (label, _) in STAGES.items():
+        recs = [r for r in history if r.phase == label]
+        if not recs:
+            continue
         lines = []
         for r in recs:
             val = "" if r.val_dsc is None else f"  val_dsc={r.val_dsc:.4f}"
@@ -180,14 +146,12 @@ def _write_stage_logs(run_dir: Path, history) -> None:
                 f"epoch {r.epoch:3d}  l_iou={r.loss.l_iou:.6f}  l_bce={r.loss.l_bce:.6f}  "
                 f"l_s={r.loss.l_s:.6f}  l_total={r.loss.l_total:.6f}{val}"
             )
-        (logs / f"{_STAGE_FILES[label]}.log").write_text("\n".join(lines) + "\n")
+        (logs / f"{name}.log").write_text("\n".join(lines) + "\n")
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    spec = _build_spec(cfg)
-    loss_cfg = _build_loss(cfg)
-    phase_cfg = _build_phase_config(cfg)
+    spec, loss_cfg, phase_cfg = (_build(SECTIONS[k], cfg[k]) for k in ("backbone", "loss", "run"))
 
     raw_train, _ = load_phase(args.data)
     raw_val, _ = load_phase(args.val)
@@ -219,7 +183,7 @@ def cmd_train(args) -> int:
     )
     _write_stage_logs(run_dir, state.history)
 
-    for label in ("I", "II", "III", "seg"):
+    for label, _ in STAGES.values():
         recs = [r for r in state.history if r.phase == label]
         if recs:
             last = recs[-1]
@@ -234,15 +198,15 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     run_dir = Path(args.run)
-    cfg = DEFAULT_CONFIG
+    # prediction needs only these sections; the training ones may come
+    # from another version of the config schema
+    sections = {k: SECTIONS[k] for k in ("backbone", "predict")}
     cfg_path = run_dir / "run_config.json"
-    if cfg_path.exists():
-        base = json.loads(cfg_path.read_text())
-        base.pop("ablate_phases", None)
-        base.pop("gen", None)
-        cfg = _merge_config(DEFAULT_CONFIG, base)
-    spec = _build_spec(cfg)
-    pcfg = _build_predict_config(cfg, d_t=args.dt, max_iters=args.max_iters)
+    base = json.loads(cfg_path.read_text()) if cfg_path.exists() else {}
+    cfg = _resolve({k: base[k] for k in sections if k in base}, sections)
+    spec, pcfg = cfg["backbone"], cfg["predict"]
+    overrides = {"d_t": args.dt, "max_iters": args.max_iters}
+    pcfg = replace(pcfg, **{k: v for k, v in overrides.items() if v is not None})
 
     det = load_cache(run_dir / "detection_cache.ckpt")
     seg = load_cache(run_dir / "segmentation_cache.ckpt")
@@ -305,7 +269,7 @@ def cmd_report(args) -> int:
     plots.mkdir(parents=True, exist_ok=True)
 
     written = []
-    for label in ("I", "II", "III", "seg"):
+    for name, (label, _) in STAGES.items():
         recs = [r for r in history if r.phase == label]
         if not recs:
             continue
@@ -316,19 +280,18 @@ def cmd_report(args) -> int:
             ("l_bce", xs, [r.loss.l_bce for r in recs]),
             ("l_s", xs, [r.loss.l_s for r in recs]),
         ]
-        name = f"loss_{_STAGE_FILES[label]}.svg"
         line_chart(
-            plots / name,
+            plots / f"loss_{name}.svg",
             series,
             title=f"training loss, stage {label}",
             x_label="epoch",
             y_label="loss",
         )
-        written.append(name)
+        written.append(f"loss_{name}.svg")
 
     dsc_series = []
     offset = 0
-    for label in ("I", "II", "III", "seg"):
+    for label, _ in STAGES.values():
         recs = [r for r in history if r.phase == label]
         pts = [(offset + i, r.val_dsc) for i, r in enumerate(recs) if r.val_dsc is not None]
         offset += len(recs)

@@ -1,14 +1,14 @@
 """Slow-moving weight caches.
 
-A cache shadows a training model's flat parameter vector. In ``momentum``
-mode each update blends the live weights in with a convex combination,
+A cache shadows a training model's flat parameter vector. Each update
+blends the live weights in with a convex combination,
 
     cached = alpha * cached + (1 - alpha) * live,
 
 so after k updates the cache is an exponentially-weighted average whose
 coefficients sum to one: alpha^k on the initial value and
-(1 - alpha) * alpha^(k - j) on the j-th live snapshot. In ``copy`` mode
-the cache simply tracks the live weights exactly (alpha is ignored).
+(1 - alpha) * alpha^(k - j) on the j-th live snapshot. With alpha = 0
+the cache tracks the live weights exactly.
 
 Caches are what the rest of the system consumes: cropping decisions and
 final predictions are made with cached weights, never the live ones.
@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .backbone import BackboneSpec, forward
 from .errors import AlphaOutOfRange, LayoutMismatch, ValueOutOfRange
 from .types import Image, ParamVector, ProbMap
-
-CACHE_MODES = ("momentum", "copy")
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,12 +29,9 @@ class CacheModel:
 
     params: ParamVector
     alpha: float
-    mode: str
     updates: int
 
     def __post_init__(self):
-        if self.mode not in CACHE_MODES:
-            raise ValueOutOfRange(f"unknown cache mode {self.mode!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.updates < 0:
@@ -48,9 +41,9 @@ class CacheModel:
 DEFAULT_ALPHA = 0.99
 
 
-def cache_init(theta: ParamVector, alpha: float = DEFAULT_ALPHA, mode: str = "momentum") -> CacheModel:
+def cache_init(theta: ParamVector, alpha: float = DEFAULT_ALPHA) -> CacheModel:
     """Start a cache as an exact copy of the live weights."""
-    return CacheModel(theta, alpha, mode, 0)
+    return CacheModel(theta, alpha, 0)
 
 
 def cache_update(cache: CacheModel, theta: ParamVector) -> CacheModel:
@@ -59,14 +52,9 @@ def cache_update(cache: CacheModel, theta: ParamVector) -> CacheModel:
         raise LayoutMismatch(
             f"live layout {theta.layout_id!r} != cache layout {cache.params.layout_id!r}"
         )
-    if cache.mode == "copy":
-        merged = theta.values.copy()
-    else:
-        a = cache.alpha
-        merged = a * cache.params.values + (1.0 - a) * theta.values
-    return CacheModel(
-        ParamVector(merged, cache.params.layout_id), cache.alpha, cache.mode, cache.updates + 1
-    )
+    a = cache.alpha
+    merged = a * cache.params.values + (1.0 - a) * theta.values
+    return CacheModel(ParamVector(merged, cache.params.layout_id), a, cache.updates + 1)
 
 
 def cache_forward(spec: BackboneSpec, cache: CacheModel, x: Image) -> ProbMap:

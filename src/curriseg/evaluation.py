@@ -48,8 +48,6 @@ class EvalReport:
     max: float
     min: float
     count: int
-    tag: str = ""
-    fallbacks: int = 0
 
     @property
     def scores(self) -> tuple[float, ...]:
@@ -63,8 +61,6 @@ class EvalReport:
             "max": self.max,
             "min": self.min,
             "count": self.count,
-            "tag": self.tag,
-            "fallbacks": self.fallbacks,
         }
 
     @classmethod
@@ -76,17 +72,13 @@ class EvalReport:
             max=doc["max"],
             min=doc["min"],
             count=doc["count"],
-            tag=doc.get("tag", ""),
-            fallbacks=doc.get("fallbacks", 0),
         )
 
 
 def evaluate_set(
     preds: list[Mask],
     refs: list[Mask],
-    tag: str = "",
     ids: list[str] | None = None,
-    fallbacks: int = 0,
 ) -> EvalReport:
     """Score predictions against references item by item.
 
@@ -110,8 +102,6 @@ def evaluate_set(
         max=float(arr.max()),
         min=float(arr.min()),
         count=len(scores),
-        tag=tag,
-        fallbacks=fallbacks,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch, ValueOutOfRange
-from .types import BBox, CropRecord, Image, Mask, ProbMap
+from .types import BBox, CropRecord, Mask, ProbMap
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +90,6 @@ def crop_like(arr: np.ndarray, rec: CropRecord) -> np.ndarray:
     core = arr[b.row_min : b.row_max + 1, b.col_min : b.col_max + 1]
     pt, pb, pl, pr = rec.pad
     return np.pad(core, ((pt, pb), (pl, pr)))
-
-
-def crop(img: Image, box: BBox, margin: int, align: int) -> tuple[Image, CropRecord]:
-    """Crop an image around `box` with margin and alignment padding."""
-    rec = make_crop_record(img.shape, box, margin, align)
-    return Image(crop_like(img.pixels, rec)), rec
 
 
 def paste_back(p: ProbMap, rec: CropRecord, fill: float) -> ProbMap:

@@ -10,8 +10,7 @@ ground truth T = [t_ij]:
 where th, ph are Gaussian-smoothed copies of t and p, and N is the pixel
 count. The total is the plain sum of the three. Note the cross-entropy and
 IoU terms are sums over pixels, not means; only the smoothed term carries
-1/N. `normalize_bce` divides the cross-entropy by N for experimentation and
-defaults to off.
+1/N.
 
 Gradients are with respect to the prediction; the smoothed term's gradient
 flows back through the convolution via its exact adjoint, so analytic values
@@ -36,7 +35,6 @@ class LossConfig:
     eps_log: float = 1e-7
     eps_div: float = 1e-7
     kernel: GaussianKernel = field(default_factory=GaussianKernel)
-    normalize_bce: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.eps_log < 0.5):
@@ -61,10 +59,7 @@ def loss_iou(p: ProbMap, t: Mask, cfg: LossConfig) -> float:
 def loss_bce(p: ProbMap, t: Mask, cfg: LossConfig) -> float:
     pa, ta = _check_shapes(p, t)
     pc = np.clip(pa, cfg.eps_log, 1.0 - cfg.eps_log)
-    total = -float((ta * np.log(pc) + (1.0 - ta) * np.log1p(-pc)).sum())
-    if cfg.normalize_bce:
-        total /= pa.size
-    return total
+    return -float((ta * np.log(pc) + (1.0 - ta) * np.log1p(-pc)).sum())
 
 
 def _smoothed_terms(pa: np.ndarray, ta: np.ndarray, cfg: LossConfig):
@@ -101,8 +96,6 @@ def loss_grad(p: ProbMap, t: Mask, cfg: LossConfig) -> np.ndarray:
     pc = np.clip(pa, cfg.eps_log, 1.0 - cfg.eps_log)
     inside = (pa > cfg.eps_log) & (pa < 1.0 - cfg.eps_log)
     g_bce = np.where(inside, -ta / pc + (1.0 - ta) / (1.0 - pc), 0.0)
-    if cfg.normalize_bce:
-        g_bce = g_bce / pa.size
 
     # smoothed overlap: chain through the convolution adjoint
     th, ph, denom_s, term = _smoothed_terms(pa, ta, cfg)

@@ -27,7 +27,7 @@ from .types import BBox, Image, Mask, ProbMap, masks_equal
 class PredictConfig:
     crop_threshold: float = 0.5
     final_threshold: float = 0.5
-    margin: int = 4
+    margin: int = 12
     d_t: float | None = None
     max_iters: int = 10
 

@@ -13,15 +13,16 @@ at phase-I start and folded forward through every optimizer step of all
 three phases; the segmentation stage warm-starts from that cache and
 maintains its own cache, leaving the detection cache untouched.
 
-Each stage is deterministic in (data, config): item order per epoch is
-drawn from a stream derived from the stage's optimizer seed and the
-stage ordinal.
+Every stage trains through `run_phase`; `run_full` chains the four
+stages and persists each one. Each stage is deterministic in (data,
+config): item order per epoch is drawn from a stream derived from the
+stage's optimizer seed and the stage ordinal.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .backbone import BackboneSpec, OptimizerConfig, init_params, train_step
@@ -45,32 +46,42 @@ from .types import (
 )
 
 DETECTION_PHASES = ("1", "2", "3")
-_STAGE_LABELS = {"1": "I", "2": "II", "3": "III", "seg": "seg"}
-_STAGE_ORDINAL = {"1": 1, "2": 2, "3": 3, "seg": 4}
 
-D2_FALLBACKS = ("whole_image",)
+# Stage name (its PhaseConfig field and its checkpoint and log file stem)
+# -> (history label, seed ordinal).
+STAGES = {
+    "phase1": ("I", 1),
+    "phase2": ("II", 2),
+    "phase3": ("III", 3),
+    "segmentation": ("seg", 4),
+}
 
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Schedules and knobs for the whole curriculum run."""
+    """Schedules and knobs for the whole curriculum run.
 
-    phase1: OptimizerConfig = OptimizerConfig()
-    phase2: OptimizerConfig = OptimizerConfig()
-    phase3: OptimizerConfig = OptimizerConfig()
-    segmentation: OptimizerConfig = OptimizerConfig()
+    The defaults are the reference experiment. A stage whose optimizer
+    seed is None gets `derive_seed(seed, 100 + ordinal)`, so the run seed
+    moves every stage.
+    """
+
+    phase1: OptimizerConfig = OptimizerConfig(learning_rate=3e-3, epochs=4)
+    phase2: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=3)
+    phase3: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=17)
+    segmentation: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=10)
     alpha: float = 0.99
-    switch_mode: str = "momentum"
-    crop_margin: int = 4
-    d2_fallback: str = "whole_image"
+    crop_margin: int = 12
     seed: int = 0
 
     def __post_init__(self):
-        if self.d2_fallback not in D2_FALLBACKS:
-            raise ValueOutOfRange(f"unknown d2_fallback {self.d2_fallback!r}")
         if self.crop_margin < 0:
             raise ValueOutOfRange(f"crop_margin must be >= 0, got {self.crop_margin}")
-        # alpha and switch_mode get their real validation from CacheModel
+        # alpha gets its real validation from CacheModel
+        for name, (_, ordinal) in STAGES.items():
+            opt = getattr(self, name)
+            if opt.seed is None:
+                object.__setattr__(self, name, replace(opt, seed=derive_seed(self.seed, 100 + ordinal)))
 
 
 @dataclass(frozen=True)
@@ -237,23 +248,48 @@ def end_to_end_dsc(
 # ---------------------------------------------------------- stage runner
 
 
-def _run_stage(
-    spec: BackboneSpec,
+def run_phase(
+    stage: str,
+    data,
     theta: ParamVector,
     cache: CacheModel,
-    items,
-    opt: OptimizerConfig,
-    loss_cfg: LossConfig,
-    stage: str,
-    eval_fn=None,
+    cfg: PhaseConfig,
+    spec: BackboneSpec = BackboneSpec(),
+    loss_cfg: LossConfig = LossConfig(),
+    val: DatasetPhase | None = None,
 ) -> tuple[ParamVector, CacheModel, list[EpochRecord]]:
-    if opt.epochs and not items:
-        raise EmptyDataset(f"stage {stage} has no training items")
-    pairs = [(it.image, it.mask) for it in items]
-    state = None
-    shuffle_base = derive_seed(opt.seed, _STAGE_ORDINAL[stage])
-    label = _STAGE_LABELS[stage]
+    """Train one curriculum stage on the items `data`, starting from `theta`.
 
+    A detection stage ("phase1", "phase2", "phase3") folds every optimizer
+    step into `cache`, the detection cache, and scores it on `val` after
+    each epoch. The "segmentation" stage only reads `cache`: it starts its
+    own cache from `theta` and scores the whole detect-crop-segment
+    pipeline with `cache` as the detector. Returns the final weights, the
+    cache the stage updated and one record per epoch.
+    """
+    if stage not in STAGES:
+        raise ValueOutOfRange(f"unknown stage {stage!r}; valid: {tuple(STAGES)}")
+    label, ordinal = STAGES[stage]
+    opt = getattr(cfg, stage)
+    pairs = [(it.image, it.mask) for it in data]
+    if opt.epochs and not pairs:
+        raise EmptyDataset(f"stage {label} has no training items")
+    eval_fn = None
+    if stage == "segmentation":
+        det, cache = cache, cache_init(theta, cfg.alpha)
+        pcfg = PredictConfig(margin=cfg.crop_margin)
+        if val is not None and val.items:
+
+            def eval_fn(seg):
+                return end_to_end_dsc(spec, det, seg, val.items, pcfg)
+
+    elif val is not None and val.items:
+
+        def eval_fn(det):
+            return detection_dsc(spec, det, val.items)
+
+    state = None
+    shuffle_base = derive_seed(opt.seed, ordinal)
     records = []
     for epoch in range(opt.epochs):
         order = list(range(len(pairs)))
@@ -267,96 +303,25 @@ def _run_stage(
                 raise NonFiniteLoss(f"stage {label}, epoch {epoch}: {exc}") from None
             cache = cache_update(cache, theta)
             epoch_losses.append(lb)
-        val = eval_fn(cache) if eval_fn is not None else None
-        records.append(EpochRecord(label, epoch, mean_breakdown(epoch_losses), val))
+        val_dsc = eval_fn(cache) if eval_fn is not None else None
+        records.append(EpochRecord(label, epoch, mean_breakdown(epoch_losses), val_dsc))
     return theta, cache, records
-
-
-def _det_eval(spec, val: DatasetPhase | None):
-    if val is None or len(val.items) == 0:
-        return None
-    return lambda cache: detection_dsc(spec, cache, val.items)
-
-
-def run_phase1(
-    raw: DatasetPhase,
-    cfg: PhaseConfig,
-    spec: BackboneSpec = BackboneSpec(),
-    loss_cfg: LossConfig = LossConfig(),
-    val: DatasetPhase | None = None,
-) -> tuple[ParamVector, CacheModel, list[EpochRecord]]:
-    """Phase I: fresh weights, trained on ground-truth crops."""
-    d1, _ = build_d1(raw, cfg.crop_margin, spec.input_align)
-    theta = init_params(spec, derive_seed(cfg.seed, 1))
-    cache = cache_init(theta, cfg.alpha, cfg.switch_mode)
-    return _run_stage(spec, theta, cache, d1.items, cfg.phase1, loss_cfg, "1", _det_eval(spec, val))
-
-
-def run_phase2(
-    d2: DatasetPhase,
-    theta_1: ParamVector,
-    detection_cache: CacheModel,
-    cfg: PhaseConfig,
-    spec: BackboneSpec = BackboneSpec(),
-    loss_cfg: LossConfig = LossConfig(),
-    val: DatasetPhase | None = None,
-) -> tuple[ParamVector, CacheModel, list[EpochRecord]]:
-    """Phase II: weights inherited from phase I, trained on cache crops."""
-    if len(d2.items) == 0:
-        raise EmptyDataset("phase II needs a non-empty cache-cropped dataset")
-    return _run_stage(
-        spec, theta_1, detection_cache, d2.items, cfg.phase2, loss_cfg, "2", _det_eval(spec, val)
-    )
-
-
-def run_phase3(
-    raw: DatasetPhase,
-    theta_2: ParamVector,
-    detection_cache: CacheModel,
-    cfg: PhaseConfig,
-    spec: BackboneSpec = BackboneSpec(),
-    loss_cfg: LossConfig = LossConfig(),
-    val: DatasetPhase | None = None,
-) -> tuple[ParamVector, CacheModel, list[EpochRecord]]:
-    """Phase III: weights inherited from phase II, trained on raw images
-    (empty-mask items included)."""
-    return _run_stage(
-        spec, theta_2, detection_cache, raw.items, cfg.phase3, loss_cfg, "3", _det_eval(spec, val)
-    )
-
-
-def run_segmentation_stage(
-    d1: DatasetPhase,
-    d2: DatasetPhase,
-    detection_cache: CacheModel,
-    cfg: PhaseConfig,
-    spec: BackboneSpec = BackboneSpec(),
-    loss_cfg: LossConfig = LossConfig(),
-    val: DatasetPhase | None = None,
-) -> tuple[ParamVector, CacheModel, list[EpochRecord]]:
-    """Segmentation stage on D1 + D2 pooled, warm-started from the
-    detection cache; the detection cache itself is never touched."""
-    union = list(d1.items) + list(d2.items)
-    theta = detection_cache.params
-    seg_cache = cache_init(theta, cfg.alpha, cfg.switch_mode)
-    eval_fn = None
-    if val is not None and len(val.items) > 0:
-        pcfg = PredictConfig(margin=cfg.crop_margin)
-
-        def eval_fn(cache):
-            return end_to_end_dsc(spec, detection_cache, cache, val.items, pcfg)
-
-    return _run_stage(spec, theta, seg_cache, union, cfg.segmentation, loss_cfg, "seg", eval_fn)
 
 
 # ------------------------------------------------------------- full run
 
 
 def load_cache(path) -> CacheModel:
-    """Rebuild a cache from a checkpoint written by run_full."""
+    """Rebuild a cache from a checkpoint written by run_full.
+
+    Older sidecars name the cache mode; "momentum" is the only one this
+    version can rebuild.
+    """
     params, meta = load_checkpoint(path)
+    if meta.get("mode", "momentum") != "momentum":
+        raise CorruptManifest(f"{path}: unsupported cache mode {meta['mode']!r}")
     try:
-        return CacheModel(params, float(meta["alpha"]), meta["mode"], int(meta["updates"]))
+        return CacheModel(params, float(meta["alpha"]), int(meta["updates"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptManifest(f"{path}: sidecar is not a cache checkpoint: {exc}") from None
 
@@ -390,12 +355,9 @@ class _RunDir:
     def resumable(self, name: str) -> bool:
         return name in self.completed
 
-    def load_model(self, name: str) -> ParamVector:
+    def load(self, name: str, cache_file: str) -> tuple[ParamVector, CacheModel]:
         theta, _ = load_checkpoint(self.out / f"{name}.ckpt")
-        return theta
-
-    def load_active_cache(self, cache_file: str) -> CacheModel:
-        return load_cache(self.out / f"{cache_file}.ckpt")
+        return theta, load_cache(self.out / f"{cache_file}.ckpt")
 
     def mark_done(self, name: str, theta: ParamVector, cache: CacheModel, cache_file: str, history):
         if self.out is None:
@@ -404,7 +366,7 @@ class _RunDir:
         save_checkpoint(
             self.out / f"{cache_file}.ckpt",
             cache.params,
-            {"stage": name, "alpha": cache.alpha, "mode": cache.mode, "updates": cache.updates},
+            {"stage": name, "alpha": cache.alpha, "updates": cache.updates},
         )
         self.completed = self.runnable[: self.runnable.index(name) + 1]
         (self.out / "status.json").write_text(
@@ -442,95 +404,63 @@ def run_full(
     runnable = [f"phase{s}" for s in DETECTION_PHASES if s in active] + ["segmentation"]
     rd = _RunDir(Path(out_dir) if out_dir is not None else None, runnable, resume, cfg.seed)
     history: list[EpochRecord] = []
-
-    theta0 = init_params(spec, derive_seed(cfg.seed, 1))
-    inits: dict[str, ParamVector] = {"phase1": theta0}
     stats: dict[str, int] = {}
 
-    d1, d1_skipped = build_d1(raw_train, cfg.crop_margin, spec.input_align)
-    stats["d1_skipped"] = d1_skipped
-    det_eval = _det_eval(spec, raw_val)
+    d1, stats["d1_skipped"] = build_d1(raw_train, cfg.crop_margin, spec.input_align)
+    data = {"1": d1, "3": raw_train}
 
-    cache = cache_init(theta0, cfg.alpha, cfg.switch_mode)
-    cache_stale = False  # True when `cache` must be reloaded from disk
-
-    def current_cache() -> CacheModel:
-        nonlocal cache, cache_stale
-        if cache_stale:
-            cache = rd.load_active_cache("detection_cache")
-            cache_stale = False
-        return cache
-
-    def detection_stage(stage: str, theta: ParamVector, items) -> ParamVector:
-        nonlocal cache, cache_stale
-        if stage not in active:
-            return theta
-        name = f"phase{stage}"
-        if rd.resumable(name):
-            history.extend(r for r in rd.prior if r.phase == _STAGE_LABELS[stage])
-            cache_stale = True
-            return rd.load_model(name)
-        opt = {"1": cfg.phase1, "2": cfg.phase2, "3": cfg.phase3}[stage]
-        theta, cache, recs = _run_stage(
-            spec, theta, current_cache(), items, opt, loss_cfg, stage, det_eval
-        )
-        history.extend(recs)
-        rd.mark_done(name, theta, cache, "detection_cache", history)
-        return theta
-
-    d2: DatasetPhase | None = None
-
-    def materialize_d2() -> DatasetPhase:
+    def materialize_d2(det: CacheModel) -> DatasetPhase:
         if rd.out is not None and resume and (rd.out / "d2" / "manifest.json").exists():
             phase, meta = load_phase(rd.out / "d2")
             for key in ("fallbacks", "skipped"):
                 if key in meta:
                     stats[f"d2_{key}"] = int(meta[key])
             return phase
-        phase, fb, sk = build_d2(raw_train, current_cache(), spec, cfg.crop_margin, spec.input_align)
+        phase, fb, sk = build_d2(raw_train, det, spec, cfg.crop_margin, spec.input_align)
         stats["d2_fallbacks"] = fb
         stats["d2_skipped"] = sk
         if rd.out is not None:
             save_phase(rd.out / "d2", phase, {"fallbacks": fb, "skipped": sk})
         return phase
 
-    theta_1 = detection_stage("1", theta0, d1.items)
-    inits["phase2"] = theta_1
-
-    if "2" in active:
-        d2 = materialize_d2()
-        if len(d2.items) == 0:
-            raise EmptyDataset("cache-cropped dataset is empty; cannot run phase II")
-        theta_2 = detection_stage("2", theta_1, d2.items)
-    else:
-        theta_2 = theta_1
-    inits["phase3"] = theta_2
-
-    theta_3 = detection_stage("3", theta_2, raw_train.items)
-
-    if d2 is None:
-        d2 = materialize_d2()
-
-    det_final = current_cache()
-    inits["segmentation"] = det_final.params
-
-    if rd.resumable("segmentation"):
-        theta_seg = rd.load_model("segmentation")
-        seg_cache = rd.load_active_cache("segmentation_cache")
-        history.extend(r for r in rd.prior if r.phase == "seg")
-    else:
-        theta_seg, seg_cache, recs = run_segmentation_stage(
-            d1, d2, det_final, cfg, spec, loss_cfg, raw_val
-        )
+    def train(stage: str, items, theta: ParamVector, cache: CacheModel):
+        """Run one stage and persist it, or reload it when it is resumable."""
+        cache_file = "segmentation_cache" if stage == "segmentation" else "detection_cache"
+        if rd.resumable(stage):
+            history.extend(r for r in rd.prior if r.phase == STAGES[stage][0])
+            return rd.load(stage, cache_file)
+        theta, cache, recs = run_phase(stage, items, theta, cache, cfg, spec, loss_cfg, raw_val)
         history.extend(recs)
-        rd.mark_done("segmentation", theta_seg, seg_cache, "segmentation_cache", history)
+        rd.mark_done(stage, theta, cache, cache_file, history)
+        return theta, cache
+
+    theta = init_params(spec, derive_seed(cfg.seed, 1))
+    det = cache_init(theta, cfg.alpha)
+    inits: dict[str, ParamVector] = {}
+    finals: dict[str, ParamVector] = {}
+    for p in DETECTION_PHASES:
+        stage = f"phase{p}"
+        inits[stage] = theta
+        if p in active:
+            if p == "2":
+                data["2"] = materialize_d2(det)
+                if len(data["2"].items) == 0:
+                    raise EmptyDataset("cache-cropped dataset is empty; cannot run phase II")
+            theta, det = train(stage, data[p].items, theta, det)
+        finals[stage] = theta
+
+    # with phase II skipped, D2 is cut by the cache phase III left behind
+    if "2" not in data:
+        data["2"] = materialize_d2(det)
+    inits["segmentation"] = det.params
+    theta_seg, seg_cache = train("segmentation", d1.items + data["2"].items, det.params, det)
 
     return RunState(
         spec=spec,
-        theta_1=theta_1,
-        theta_2=theta_2,
-        theta_3=theta_3,
-        detection_cache=det_final,
+        theta_1=finals["phase1"],
+        theta_2=finals["phase2"],
+        theta_3=finals["phase3"],
+        detection_cache=det,
         theta_seg=theta_seg,
         segmentation_cache=seg_cache,
         history=tuple(history),

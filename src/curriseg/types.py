@@ -195,10 +195,6 @@ class ParamVector:
         return self.values.size
 
 
-def params_combinable(a: ParamVector, b: ParamVector) -> bool:
-    return a.layout_id == b.layout_id and len(a) == len(b)
-
-
 @dataclass(frozen=True, eq=False)
 class DatasetItem:
     """One training example plus optional crop provenance."""

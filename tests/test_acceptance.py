@@ -10,6 +10,7 @@ import json
 import statistics
 import struct
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from curriseg import (
     Image,
     Mask,
     MissingFile,
-    OptimizerConfig,
     ParamVector,
     PhaseConfig,
     PredictConfig,
@@ -50,10 +50,7 @@ from curriseg import (
     loss_smoothed,
     make_crop_record,
     paste_back,
-    run_phase1,
-    run_phase2,
-    run_phase3,
-    run_segmentation_stage,
+    run_phase,
     save_checkpoint,
     save_dataset,
     gaussian_smooth,
@@ -227,31 +224,13 @@ def test_criterion_4_geometry_matches_brute_force():
 
 SPEC = BackboneSpec()
 SEEDS = (1, 2, 3)
-CROP_MARGIN = 12
-EPOCHS = (4, 3, 17)  # detection phases; ablation gets their sum
-SEG_EPOCHS = 10
-BATCH = 8
-LR_CROPS, LR_RAW = 3e-3, 2e-3
 RUN_BUDGET_S = 900.0
 
 
-def _phase_cfg(seed: int) -> PhaseConfig:
-    return PhaseConfig(
-        phase1=OptimizerConfig(
-            epochs=EPOCHS[0], learning_rate=LR_CROPS, batch_size=BATCH, seed=derive_seed(seed, 101)
-        ),
-        phase2=OptimizerConfig(
-            epochs=EPOCHS[1], learning_rate=LR_RAW, batch_size=BATCH, seed=derive_seed(seed, 102)
-        ),
-        phase3=OptimizerConfig(
-            epochs=EPOCHS[2], learning_rate=LR_RAW, batch_size=BATCH, seed=derive_seed(seed, 103)
-        ),
-        segmentation=OptimizerConfig(
-            epochs=SEG_EPOCHS, learning_rate=LR_RAW, batch_size=BATCH, seed=derive_seed(seed, 104)
-        ),
-        crop_margin=CROP_MARGIN,
-        seed=seed,
-    )
+def _start(cfg: PhaseConfig):
+    """Phase-I starting weights and detection cache, as run_full makes them."""
+    theta0 = init_params(SPEC, derive_seed(cfg.seed, 1))
+    return theta0, cache_init(theta0, cfg.alpha)
 
 
 @pytest.fixture(scope="module")
@@ -263,21 +242,21 @@ def trend_runs():
     out = {"r3": ratio(train), "runs": [], "ablations": [], "r1": None}
     for seed in SEEDS:
         t0 = time.perf_counter()
-        cfg = _phase_cfg(seed)
-        d1, _ = build_d1(train, CROP_MARGIN, SPEC.input_align)
+        cfg = PhaseConfig(seed=seed)  # the reference experiment
+        d1, _ = build_d1(train, cfg.crop_margin, SPEC.input_align)
         out["r1"] = ratio(d1)
 
-        theta1, cache, _ = run_phase1(train, cfg, SPEC)
+        theta1, cache, _ = run_phase("phase1", d1.items, *_start(cfg), cfg, SPEC)
         dsc_1 = detection_dsc(SPEC, cache, val.items)
-        d2, fallbacks, _ = build_d2(train, cache, SPEC, CROP_MARGIN, SPEC.input_align)
-        theta2, cache, _ = run_phase2(d2, theta1, cache, cfg, SPEC)
+        d2, fallbacks, _ = build_d2(train, cache, SPEC, cfg.crop_margin, SPEC.input_align)
+        theta2, cache, _ = run_phase("phase2", d2.items, theta1, cache, cfg, SPEC)
         dsc_2 = detection_dsc(SPEC, cache, val.items)
-        theta3, cache, _ = run_phase3(train, theta2, cache, cfg, SPEC)
+        theta3, cache, _ = run_phase("phase3", train.items, theta2, cache, cfg, SPEC)
         dsc_3 = detection_dsc(SPEC, cache, val.items)
 
-        _, seg_cache, _ = run_segmentation_stage(d1, d2, cache, cfg, SPEC)
+        _, seg_cache, _ = run_phase("segmentation", d1.items + d2.items, cache.params, cache, cfg, SPEC)
         e2e = end_to_end_dsc(
-            SPEC, cache, seg_cache, val.items, PredictConfig(margin=CROP_MARGIN)
+            SPEC, cache, seg_cache, val.items, PredictConfig(margin=cfg.crop_margin)
         )
         elapsed = time.perf_counter() - t0
         out["runs"].append(
@@ -297,19 +276,11 @@ def trend_runs():
         )
 
     for seed in SEEDS:
-        abl = PhaseConfig(
-            phase3=OptimizerConfig(
-                epochs=sum(EPOCHS),
-                learning_rate=LR_RAW,
-                batch_size=BATCH,
-                seed=derive_seed(seed, 103),
-            ),
-            crop_margin=CROP_MARGIN,
-            seed=seed,
-        )
-        theta0 = init_params(SPEC, derive_seed(seed, 1))
-        cache0 = cache_init(theta0, abl.alpha, abl.switch_mode)
-        _, abl_cache, _ = run_phase3(train, theta0, cache0, abl, SPEC)
+        # phase III alone, for the epochs of all three detection phases
+        cfg = PhaseConfig(seed=seed)
+        budget = cfg.phase1.epochs + cfg.phase2.epochs + cfg.phase3.epochs
+        abl = replace(cfg, phase3=replace(cfg.phase3, epochs=budget))
+        _, abl_cache, _ = run_phase("phase3", train.items, *_start(abl), abl, SPEC)
         abl_dsc = detection_dsc(SPEC, abl_cache, val.items)
         out["ablations"].append(abl_dsc)
         print(f"  [ablation seed {seed}] detection {abl_dsc:.3f}", flush=True)

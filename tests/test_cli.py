@@ -1,12 +1,17 @@
 import json
+import re
+import shutil
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curriseg import read_pgm
+from curriseg import OptimizerConfig, PhaseConfig, PredictConfig, derive_seed, read_pgm
 from curriseg.cli import entry, load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_CONFIG = {
     "backbone": {"depth": 1, "base_channels": 2},
@@ -206,6 +211,50 @@ def test_config_defaults_and_seed_derivation(tmp_path):
     assert load_config(p)["run"]["phase1"]["seed"] != load_config(q)["run"]["phase1"]["seed"]
 
 
+def test_reference_experiment_defaults():
+    # PhaseConfig() and PredictConfig() are the reference experiment ...
+    def stage(lr, epochs, ordinal):
+        return OptimizerConfig("adam", lr, 8, epochs, derive_seed(0, 100 + ordinal))
+
+    reference = PhaseConfig(
+        phase1=stage(3e-3, 4, 1),
+        phase2=stage(2e-3, 3, 2),
+        phase3=stage(2e-3, 17, 3),
+        segmentation=stage(2e-3, 10, 4),
+        alpha=0.99,
+        crop_margin=12,
+        seed=0,
+    )
+    assert PhaseConfig() == reference
+    assert PredictConfig() == PredictConfig(
+        crop_threshold=0.5, final_threshold=0.5, margin=12, d_t=None, max_iters=10
+    )
+    # ... and the CLI defaults are exactly the dataclass defaults
+    stages = ("phase1", "phase2", "phase3", "segmentation")
+    assert load_config(None) == {
+        "backbone": {"depth": 2, "base_channels": 8},
+        "loss": {"eps_log": 1e-7, "eps_div": 1e-7, "kernel": {"sigma": 1.0, "radius": 3}},
+        "run": {
+            **{s: asdict(getattr(reference, s)) for s in stages},
+            "alpha": 0.99,
+            "crop_margin": 12,
+            "seed": 0,
+        },
+        "predict": asdict(PredictConfig()),
+    }
+
+
+def test_readme_config_example_loads(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.json"
+    path.write_text(blocks[0])
+    # the example spells out the reference experiment at run seed 1
+    seed1 = tmp_path / "seed1.json"
+    seed1.write_text(json.dumps({"run": {"seed": 1}}))
+    assert load_config(path) == load_config(seed1)
+
+
 def test_config_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -261,6 +310,46 @@ def test_predict_refinement_traces(workspace, tmp_path):
     assert 1 <= trace["n_iters"] <= 4
     assert len(trace["iterations"]) == trace["n_iters"]
     assert "dsc_prev" in trace["iterations"][0]
+
+
+def test_predict_reads_older_run_directories(workspace, predictions, tmp_path):
+    # run_config.json and cache sidecars as written before the cache mode,
+    # d2_fallback and normalize_bce were removed and the kernel was nested
+    run = tmp_path / "old_run"
+    shutil.copytree(workspace / "run", run)
+    old_stage = {"algorithm": "adam", "learning_rate": 2e-3, "batch_size": 2, "seed": None}
+    old_config = {
+        "backbone": TINY_CONFIG["backbone"],
+        "loss": {
+            "eps_log": 1e-7,
+            "eps_div": 1e-7,
+            "normalize_bce": False,
+            "kernel_sigma": 1.0,
+            "kernel_radius": 3,
+        },
+        "run": {
+            "alpha": 0.99,
+            "switch_mode": "momentum",
+            "crop_margin": 3,
+            "d2_fallback": "whole_image",
+            "seed": 3,
+            **{s: {**old_stage, "epochs": 1} for s in ("phase1", "phase2", "phase3")},
+            "segmentation": {**old_stage, "epochs": 2},
+        },
+        "predict": {"crop_threshold": 0.5, "final_threshold": 0.5, "margin": 12, "d_t": None, "max_iters": 10},
+        "ablate_phases": [],
+    }
+    (run / "run_config.json").write_text(json.dumps(old_config, indent=2) + "\n")
+    for name in ("detection_cache", "segmentation_cache"):
+        side = run / f"{name}.ckpt.json"
+        doc = json.loads(side.read_text())
+        doc["meta"]["mode"] = "momentum"
+        side.write_text(json.dumps(doc, indent=2) + "\n")
+
+    out = tmp_path / "preds"
+    rc = entry(["predict", "--run", str(run), "--input", str(workspace / "val"), "--out", str(out)])
+    assert rc == 0
+    assert tree_bytes(out) == tree_bytes(predictions)
 
 
 def test_predict_missing_checkpoints(workspace, tmp_path, capsys):

@@ -9,14 +9,13 @@ from curriseg import (
     LayoutMismatch,
     ParamVector,
     Rng,
-    ValueOutOfRange,
     cache_forward,
     cache_init,
     cache_update,
     forward,
     init_params,
 )
-from curriseg.ema import CACHE_MODES, DEFAULT_ALPHA
+from curriseg.ema import DEFAULT_ALPHA
 
 
 def vec(values, layout="toy"):
@@ -27,7 +26,7 @@ def test_init_copies_and_counts_zero():
     theta = vec([1.0, 2.0, 3.0])
     c = cache_init(theta, alpha=0.9)
     assert np.array_equal(c.params.values, theta.values)
-    assert c.updates == 0 and c.alpha == 0.9 and c.mode == "momentum"
+    assert c.updates == 0 and c.alpha == 0.9
 
 
 def test_default_alpha():
@@ -42,12 +41,6 @@ def test_alpha_bounds_inclusive():
     for bad in (1.2, -0.1):
         with pytest.raises(AlphaOutOfRange):
             cache_init(theta, alpha=bad)
-
-
-def test_mode_validated():
-    with pytest.raises(ValueOutOfRange):
-        cache_init(vec([1.0]), mode="average")
-    assert CACHE_MODES == ("momentum", "copy")
 
 
 def test_hand_update():
@@ -66,8 +59,8 @@ def test_degenerate_alphas():
     assert np.array_equal(tracking.params.values, [7.0, 8.0])  # alpha=0: copy
 
 
-def test_copy_mode_tracks_last_exactly():
-    c = cache_init(vec([0.0, 0.0]), alpha=0.5, mode="copy")
+def test_zero_alpha_tracks_last_exactly():
+    c = cache_init(vec([0.0, 0.0]), alpha=0.0)
     last = None
     r = Rng(3)
     for _ in range(10):

@@ -110,9 +110,7 @@ def test_report_json_round_trip():
     rep = evaluate_set(
         [mk([[1, 0]]), mk([[0, 1]])],
         [mk([[1, 0]]), mk([[1, 0]])],
-        tag="val",
         ids=["x", "y"],
-        fallbacks=3,
     )
     doc = json.loads(json.dumps(rep.as_dict()))
     back = EvalReport.from_dict(doc)

@@ -26,8 +26,8 @@ ALWAYS = 1e-6
 
 @pytest.fixture(scope="module")
 def caches():
-    det = cache_init(init_params(TINY, 31), 0.99, "momentum")
-    seg = cache_init(init_params(TINY, 32), 0.99, "momentum")
+    det = cache_init(init_params(TINY, 31), 0.99)
+    seg = cache_init(init_params(TINY, 32), 0.99)
     return det, seg
 
 
@@ -147,7 +147,7 @@ def test_misaligned_input_rejected(caches):
     det, seg = caches
     spec = BackboneSpec(depth=2, base_channels=2)
     bad = generate(GenConfig(count=1, height=18, width=18, seed=3)).items[0].image
-    det2 = cache_init(init_params(spec, 5), 0.99, "momentum")
+    det2 = cache_init(init_params(spec, 5), 0.99)
     with pytest.raises(AlignmentError):
         predict(bad, det2, det2, spec, PredictConfig())
 

@@ -135,7 +135,7 @@ def test_threshold_counts_strict_exceedances(seed, t):
 @given(seeds, st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=12))
 def test_cache_update_stays_in_hull(seed, alpha, n_updates):
     layout = "prop-p6"
-    cache = cache_init(ParamVector(arr(seed, 6), layout), alpha, "momentum")
+    cache = cache_init(ParamVector(arr(seed, 6), layout), alpha)
     lo = hi = cache.params.values
     for k in range(n_updates):
         live = ParamVector(2.0 * arr(derive_seed(seed, k), 6) - 0.5, layout)

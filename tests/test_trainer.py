@@ -28,12 +28,11 @@ from curriseg import (
     generate,
     init_params,
     load_checkpoint,
+    load_phase,
     make_crop_record,
     run_full,
-    run_phase1,
-    run_phase2,
-    run_phase3,
-    run_segmentation_stage,
+    run_phase,
+    save_checkpoint,
     threshold,
 )
 from curriseg.rng import derive_seed
@@ -71,6 +70,19 @@ def zero_epochs(**kw):
         segmentation=OptimizerConfig(epochs=0, seed=14),
         **kw,
     )
+
+
+def start(cfg):
+    """Phase-I starting weights and detection cache, as run_full makes them."""
+    theta = init_params(TINY, derive_seed(cfg.seed, 1))
+    return theta, cache_init(theta, cfg.alpha)
+
+
+def trained_phase1(raw, cfg):
+    """(D1, phase-I weights, detection cache after phase I)."""
+    d1, _ = build_d1(raw, cfg.crop_margin, TINY.input_align)
+    theta, cache, _ = run_phase("phase1", d1.items, *start(cfg), cfg, TINY)
+    return d1, theta, cache
 
 
 def with_empty_mask(phase, index=0):
@@ -126,7 +138,7 @@ def test_build_d1_all_empty_fatal():
 
 def test_build_d2_crops_follow_cache_predictions():
     raw = raw_phase()
-    cache = cache_init(init_params(TINY, 21), 0.9, "momentum")
+    cache = cache_init(init_params(TINY, 21), 0.9)
     d2, fallbacks, skipped = build_d2(raw, cache, TINY, margin=3, align=TINY.input_align)
     assert skipped == 0 and d2.phase_id == "D2"
     assert len(d2.items) == len(raw.items)
@@ -144,7 +156,7 @@ def test_build_d2_crops_follow_cache_predictions():
 
 def test_build_d2_fallback_counts_whole_image():
     raw = raw_phase()
-    cache = cache_init(init_params(TINY, 21), 0.9, "momentum")
+    cache = cache_init(init_params(TINY, 21), 0.9)
     # a threshold no sigmoid output of an untrained net can clear
     d2, fallbacks, skipped = build_d2(
         raw, cache, TINY, margin=3, align=TINY.input_align, threshold_value=0.999999
@@ -156,7 +168,7 @@ def test_build_d2_fallback_counts_whole_image():
 
 def test_build_d2_skips_empty_masks():
     raw = with_empty_mask(raw_phase())
-    cache = cache_init(init_params(TINY, 21), 0.9, "momentum")
+    cache = cache_init(init_params(TINY, 21), 0.9)
     d2, _, skipped = build_d2(raw, cache, TINY, margin=3, align=2)
     assert skipped == 1
     assert len(d2.items) == len(raw.items) - 1
@@ -168,28 +180,32 @@ def test_build_d2_skips_empty_masks():
 def test_phase1_zero_epochs_returns_fresh_init():
     raw = raw_phase()
     cfg = zero_epochs()
-    theta, cache, records = run_phase1(raw, cfg, TINY)
-    np.testing.assert_array_equal(theta.values, init_params(TINY, derive_seed(cfg.seed, 1)).values)
-    assert cache.updates == 0
-    assert records == []
+    rs = run_full(raw, None, cfg, TINY)
+    np.testing.assert_array_equal(rs.theta_1.values, init_params(TINY, derive_seed(cfg.seed, 1)).values)
+    assert rs.detection_cache.updates == 0
+    assert rs.history == ()
 
 
 def test_phase_inheritance_passthrough():
     raw = raw_phase()
     cfg = zero_epochs()
-    theta1, cache, _ = run_phase1(raw, cfg, TINY)
+    d1, theta1, cache = trained_phase1(raw, cfg)
     d2, _, _ = build_d2(raw, cache, TINY, cfg.crop_margin, TINY.input_align)
-    theta2, cache, _ = run_phase2(d2, theta1, cache, cfg, TINY)
-    theta3, cache, _ = run_phase3(raw, theta2, cache, cfg, TINY)
+    theta2, cache, _ = run_phase("phase2", d2.items, theta1, cache, cfg, TINY)
+    theta3, cache, _ = run_phase("phase3", raw.items, theta2, cache, cfg, TINY)
     assert theta2 is theta1 and theta3 is theta2
 
 
 def test_phase2_requires_items():
     cfg = tiny_cfg()
-    theta = init_params(TINY, 1)
-    cache = cache_init(theta, 0.99, "momentum")
     with pytest.raises(EmptyDataset):
-        run_phase2(DatasetPhase("D2", ()), theta, cache, cfg, TINY)
+        run_phase("phase2", (), *start(cfg), cfg, TINY)
+
+
+def test_unknown_stage_rejected():
+    cfg = tiny_cfg()
+    with pytest.raises(ValueOutOfRange):
+        run_phase("phase4", raw_phase().items, *start(cfg), cfg, TINY)
 
 
 def test_stage_counts_and_history_labels():
@@ -232,17 +248,18 @@ def test_detection_cache_counts_every_step():
 def test_segmentation_leaves_detection_cache_alone():
     raw = raw_phase()
     cfg = tiny_cfg()
-    theta1, cache, _ = run_phase1(raw, cfg, TINY)
-    d1, _ = build_d1(raw, cfg.crop_margin, TINY.input_align)
+    d1, _, cache = trained_phase1(raw, cfg)
     d2, _, _ = build_d2(raw, cache, TINY, cfg.crop_margin, TINY.input_align)
-    before = cache.params.values.copy()
-    theta_seg, seg_cache, _ = run_segmentation_stage(d1, d2, cache, cfg, TINY)
-    np.testing.assert_array_equal(cache.params.values, before)
-    assert seg_cache.updates > 0
-    # warm start: the segmentation weights grow out of the detection cache
-    np.testing.assert_array_equal(
-        run_segmentation_stage(d1, d2, cache, zero_epochs(), TINY)[0].values, cache.params.values
-    )
+    items = d1.items + d2.items
+    before = (cache.params.values.copy(), cache.updates)
+    _, seg_cache, _ = run_phase("segmentation", items, cache.params, cache, cfg, TINY)
+    np.testing.assert_array_equal(cache.params.values, before[0])
+    assert cache.updates == before[1] and seg_cache.updates > 0
+    # the segmentation cache starts as a fresh copy of the starting weights
+    theta = init_params(TINY, 4)
+    _, fresh, _ = run_phase("segmentation", items, theta, cache, zero_epochs(), TINY)
+    np.testing.assert_array_equal(fresh.params.values, theta.values)
+    assert fresh.updates == 0
 
 
 def test_inheritance_chain_weights_flow():
@@ -295,18 +312,18 @@ def test_seed_changes_results():
 def test_nonfinite_loss_names_stage_and_epoch():
     raw = raw_phase()
     cfg = tiny_cfg()
-    theta1, cache, _ = run_phase1(raw, cfg, TINY)
+    _, theta1, cache = trained_phase1(raw, cfg)
     d2, _, _ = build_d2(raw, cache, TINY, cfg.crop_margin, TINY.input_align)
     blown = ParamVector(theta1.values * 1e160, theta1.layout_id)
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteLoss) as exc:
-            run_phase2(d2, blown, cache, cfg, TINY)
+            run_phase("phase2", d2.items, blown, cache, cfg, TINY)
     assert "stage II" in str(exc.value)
 
 
 def test_detection_dsc_bounds_and_empty():
     raw = raw_phase(count=3)
-    cache = cache_init(init_params(TINY, 8), 0.99, "momentum")
+    cache = cache_init(init_params(TINY, 8), 0.99)
     v = detection_dsc(TINY, cache, raw.items)
     assert 0.0 <= v <= 1.0
     with pytest.raises(EmptyDataset):
@@ -349,7 +366,9 @@ def test_run_full_persists_stage_artifacts(tmp_path):
 
     det = load_cache(out / "detection_cache.ckpt")
     assert det.updates == rs.detection_cache.updates
-    assert det.alpha == rs.detection_cache.alpha and det.mode == rs.detection_cache.mode
+    assert det.alpha == rs.detection_cache.alpha
+    _, meta = load_checkpoint(out / "detection_cache.ckpt")
+    assert meta == {"stage": "phase3", "alpha": det.alpha, "updates": det.updates}
 
     hist = history_from_json(json.loads((out / "history.json").read_text()))
     assert [r.phase for r in hist] == [r.phase for r in rs.history]
@@ -379,6 +398,39 @@ def test_resume_reruns_unfinished_suffix(tmp_path):
     assert json.loads(status.read_text())["completed"][-1] == "segmentation"
 
 
+def test_resume_after_phase2_continues_from_checkpoints(tmp_path):
+    raw = raw_phase()
+    cfg = tiny_cfg()
+    out = tmp_path / "run"
+    # a run stopped after phase II: its files are those of a run without
+    # phase III, whose detection cache ends at phase II
+    run_full(raw, None, cfg, TINY, out_dir=out, phases=["1", "2"])
+    (out / "status.json").write_text(json.dumps({"completed": ["phase1", "phase2"]}) + "\n")
+    theta2, _ = load_checkpoint(out / "phase2.ckpt")
+    det = load_cache(out / "detection_cache.ckpt")
+    d1, _ = build_d1(raw, cfg.crop_margin, TINY.input_align)
+    d2, _ = load_phase(out / "d2")
+    prior = history_from_json(json.loads((out / "history.json").read_text()))
+
+    rs = run_full(raw, None, cfg, TINY, out_dir=out, resume=True)
+
+    # phases I and II come back from disk; III and seg continue from there
+    theta3, det, recs3 = run_phase("phase3", raw.items, theta2, det, cfg, TINY)
+    theta_seg, seg, recs_seg = run_phase("segmentation", d1.items + d2.items, det.params, det, cfg, TINY)
+    np.testing.assert_array_equal(rs.theta_3.values, theta3.values)
+    np.testing.assert_array_equal(rs.detection_cache.params.values, det.params.values)
+    np.testing.assert_array_equal(rs.theta_seg.values, theta_seg.values)
+    np.testing.assert_array_equal(rs.segmentation_cache.params.values, seg.params.values)
+    assert rs.detection_cache.updates == det.updates
+    assert rs.history == tuple(r for r in prior if r.phase in ("I", "II")) + tuple(recs3 + recs_seg)
+    assert json.loads((out / "status.json").read_text())["completed"] == [
+        "phase1",
+        "phase2",
+        "phase3",
+        "segmentation",
+    ]
+
+
 def test_fresh_run_ignores_stale_status(tmp_path):
     raw = raw_phase()
     out = tmp_path / "run"
@@ -388,12 +440,21 @@ def test_fresh_run_ignores_stale_status(tmp_path):
 
 
 def test_load_cache_requires_cache_sidecar(tmp_path):
-    from curriseg import save_checkpoint
-
     theta = init_params(TINY, 3)
-    save_checkpoint(tmp_path / "w.ckpt", theta, {"stage": "x"})  # no alpha/mode/updates
+    save_checkpoint(tmp_path / "w.ckpt", theta, {"stage": "x"})  # no alpha/updates
     with pytest.raises(CorruptManifest):
         load_cache(tmp_path / "w.ckpt")
+
+
+def test_load_cache_accepts_only_momentum_mode(tmp_path):
+    theta = init_params(TINY, 3)
+    meta = {"stage": "phase3", "alpha": 0.9, "updates": 7}
+    save_checkpoint(tmp_path / "old.ckpt", theta, {**meta, "mode": "momentum"})
+    cache = load_cache(tmp_path / "old.ckpt")
+    assert (cache.alpha, cache.updates) == (0.9, 7)
+    save_checkpoint(tmp_path / "copy.ckpt", theta, {**meta, "mode": "copy"})
+    with pytest.raises(CorruptManifest):
+        load_cache(tmp_path / "copy.ckpt")
 
 
 # ------------------------------------------------------------- history IO
@@ -423,6 +484,12 @@ def test_history_rejects_malformed(doc):
 
 def test_phase_config_validation():
     with pytest.raises(ValueOutOfRange):
-        PhaseConfig(d2_fallback="nearest")
-    with pytest.raises(ValueOutOfRange):
         PhaseConfig(crop_margin=-1)
+
+
+def test_phase_config_derives_unset_stage_seeds():
+    cfg = PhaseConfig(seed=7, phase2=OptimizerConfig(seed=42))
+    assert cfg.phase1.seed == derive_seed(7, 101)
+    assert cfg.phase2.seed == 42
+    assert cfg.phase3.seed == derive_seed(7, 103)
+    assert cfg.segmentation.seed == derive_seed(7, 104)

@@ -15,7 +15,7 @@ from curriseg import (
     ValueOutOfRange,
     masks_equal,
 )
-from curriseg.types import params_combinable, validate_pair
+from curriseg.types import validate_pair
 
 
 def test_validate_pair_accepts_matching_shapes():
@@ -85,8 +85,6 @@ def test_crop_record_out_shape():
 def test_param_vector_checks():
     v = ParamVector(np.arange(3, dtype=float), "net-a")
     assert len(v) == 3
-    assert params_combinable(v, ParamVector(np.zeros(3), "net-a"))
-    assert not params_combinable(v, ParamVector(np.zeros(3), "net-b"))
     with pytest.raises(ValueOutOfRange):
         ParamVector(np.array([]), "net-a")
     with pytest.raises(ValueOutOfRange):
