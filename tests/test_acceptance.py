@@ -3,13 +3,18 @@
 Each test prints one `[PASS]/[FAIL]` line with the measured numbers
 (visible under `pytest -s`). The curriculum-versus-ablation criteria
 share one module-scoped fixture that trains three seeds of each, so this
-file dominates the suite's runtime (~20 minutes on one core).
+file dominates the suite's runtime. The six trainings are independent and
+run in parallel worker processes, one per CPU (at most three).
 """
 
+import functools
 import json
+import multiprocessing
+import os
 import statistics
 import struct
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,59 +238,100 @@ def _start(cfg: PhaseConfig):
     return theta0, cache_init(theta0, cfg.alpha)
 
 
+@functools.lru_cache(maxsize=1)
+def _trend_data():
+    return generate(GenConfig(count=200, seed=7)), generate(GenConfig(count=50, seed=8))
+
+
+def _fg_ratio(phase) -> float:
+    return float(np.mean([it.mask.labels.mean() for it in phase.items]))
+
+
+def _curriculum_run(seed: int) -> dict:
+    """The reference experiment at `seed`: phases I-III, then segmentation."""
+    train, val = _trend_data()
+    t0 = time.perf_counter()
+    cfg = PhaseConfig(seed=seed)
+    d1, _ = build_d1(train, cfg.crop_margin, SPEC.input_align)
+
+    theta1, cache, _ = run_phase("phase1", d1.items, *_start(cfg), cfg, SPEC)
+    dsc_1 = detection_dsc(SPEC, cache, val.items)
+    d2, fallbacks, _ = build_d2(train, cache, SPEC, cfg.crop_margin, SPEC.input_align)
+    theta2, cache, _ = run_phase("phase2", d2.items, theta1, cache, cfg, SPEC)
+    dsc_2 = detection_dsc(SPEC, cache, val.items)
+    theta3, cache, _ = run_phase("phase3", train.items, theta2, cache, cfg, SPEC)
+    dsc_3 = detection_dsc(SPEC, cache, val.items)
+
+    _, seg_cache, _ = run_phase("segmentation", d1.items + d2.items, cache.params, cache, cfg, SPEC)
+    e2e = end_to_end_dsc(SPEC, cache, seg_cache, val.items, PredictConfig(margin=cfg.crop_margin))
+    return {
+        "seed": seed,
+        "dsc": (dsc_1, dsc_2, dsc_3),
+        "e2e": e2e,
+        "r1": _fg_ratio(d1),
+        "r2": _fg_ratio(d2),
+        "fallbacks": fallbacks,
+        "seconds": time.perf_counter() - t0,
+    }
+
+
+def _ablation_run(seed: int) -> float:
+    """Phase III alone, for the epochs of all three detection phases."""
+    train, val = _trend_data()
+    cfg = PhaseConfig(seed=seed)
+    budget = cfg.phase1.epochs + cfg.phase2.epochs + cfg.phase3.epochs
+    abl = replace(cfg, phase3=replace(cfg.phase3, epochs=budget))
+    _, abl_cache, _ = run_phase("phase3", train.items, *_start(abl), abl, SPEC)
+    return detection_dsc(SPEC, abl_cache, val.items)
+
+
+_MAX_WORKERS = 3
+_ONE_BLAS_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_runs(jobs: list[tuple]) -> list:
+    """Results of `fn(arg)` for each `(fn, arg)` job, in job order.
+
+    The runs are independent and deterministic, so they go to up to
+    `_MAX_WORKERS` fresh processes with one BLAS thread each; the results
+    are bit-identical to running them here one after another.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(_MAX_WORKERS, len(jobs), cpus or 1)
+    if workers < 2:
+        return [fn(arg) for fn, arg in jobs]
+    saved = {k: os.environ.get(k) for k in _ONE_BLAS_THREAD}
+    os.environ.update({k: "1" for k in _ONE_BLAS_THREAD})  # read by numpy at import
+    try:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            futures = [pool.submit(fn, arg) for fn, arg in jobs]
+            return [f.result() for f in futures]
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 @pytest.fixture(scope="module")
 def trend_runs():
-    train = generate(GenConfig(count=200, seed=7))
-    val = generate(GenConfig(count=50, seed=8))
-    ratio = lambda ph: float(np.mean([it.mask.labels.mean() for it in ph.items]))
-
-    out = {"r3": ratio(train), "runs": [], "ablations": [], "r1": None}
-    for seed in SEEDS:
-        t0 = time.perf_counter()
-        cfg = PhaseConfig(seed=seed)  # the reference experiment
-        d1, _ = build_d1(train, cfg.crop_margin, SPEC.input_align)
-        out["r1"] = ratio(d1)
-
-        theta1, cache, _ = run_phase("phase1", d1.items, *_start(cfg), cfg, SPEC)
-        dsc_1 = detection_dsc(SPEC, cache, val.items)
-        d2, fallbacks, _ = build_d2(train, cache, SPEC, cfg.crop_margin, SPEC.input_align)
-        theta2, cache, _ = run_phase("phase2", d2.items, theta1, cache, cfg, SPEC)
-        dsc_2 = detection_dsc(SPEC, cache, val.items)
-        theta3, cache, _ = run_phase("phase3", train.items, theta2, cache, cfg, SPEC)
-        dsc_3 = detection_dsc(SPEC, cache, val.items)
-
-        _, seg_cache, _ = run_phase("segmentation", d1.items + d2.items, cache.params, cache, cfg, SPEC)
-        e2e = end_to_end_dsc(
-            SPEC, cache, seg_cache, val.items, PredictConfig(margin=cfg.crop_margin)
-        )
-        elapsed = time.perf_counter() - t0
-        out["runs"].append(
-            {
-                "seed": seed,
-                "dsc": (dsc_1, dsc_2, dsc_3),
-                "e2e": e2e,
-                "r2": ratio(d2),
-                "fallbacks": fallbacks,
-                "seconds": elapsed,
-            }
-        )
+    train, _ = _trend_data()
+    # curricula first: they are the longest jobs
+    jobs = [(_curriculum_run, seed) for seed in SEEDS] + [(_ablation_run, seed) for seed in SEEDS]
+    results = _map_runs(jobs)
+    runs, ablations = results[: len(SEEDS)], results[len(SEEDS) :]
+    for run in runs:
+        dsc_1, dsc_2, dsc_3 = run["dsc"]
         print(
-            f"  [trend seed {seed}] detection I/II/III = {dsc_1:.3f}/{dsc_2:.3f}/{dsc_3:.3f}, "
-            f"end-to-end {e2e:.3f}, {elapsed:.0f}s",
+            f"  [trend seed {run['seed']}] detection I/II/III = {dsc_1:.3f}/{dsc_2:.3f}/{dsc_3:.3f}, "
+            f"end-to-end {run['e2e']:.3f}, {run['seconds']:.0f}s",
             flush=True,
         )
-
-    for seed in SEEDS:
-        # phase III alone, for the epochs of all three detection phases
-        cfg = PhaseConfig(seed=seed)
-        budget = cfg.phase1.epochs + cfg.phase2.epochs + cfg.phase3.epochs
-        abl = replace(cfg, phase3=replace(cfg.phase3, epochs=budget))
-        _, abl_cache, _ = run_phase("phase3", train.items, *_start(abl), abl, SPEC)
-        abl_dsc = detection_dsc(SPEC, abl_cache, val.items)
-        out["ablations"].append(abl_dsc)
+    for seed, abl_dsc in zip(SEEDS, ablations):
         print(f"  [ablation seed {seed}] detection {abl_dsc:.3f}", flush=True)
-
-    return out
+    return {"r3": _fg_ratio(train), "r1": runs[-1]["r1"], "runs": runs, "ablations": ablations}
 
 
 def test_criterion_5_difficulty_ordering(trend_runs):
