@@ -23,7 +23,6 @@ from .ema import CacheModel, cache_forward, cache_init, cache_update
 from .errors import (
     AlignmentError,
     AlphaOutOfRange,
-    BadFoldCount,
     BadImageDepth,
     BadMagic,
     CorruptManifest,
@@ -38,7 +37,7 @@ from .errors import (
     ValueOutOfRange,
     VersionUnsupported,
 )
-from .evaluation import EvalReport, dsc, evaluate_set, foreground_ratio, split_folds
+from .evaluation import EvalReport, dsc, evaluate_set
 from .geometry import (
     GaussianKernel,
     bbox_from_mask,
@@ -51,7 +50,7 @@ from .geometry import (
 )
 from .losses import LossConfig, loss_bce, loss_grad, loss_iou, loss_smoothed, loss_total
 from .predictor import IterationRecord, PredictConfig, PredictTrace, predict
-from .rng import Rng, derive_seed, mix64
+from .rng import Rng, derive_seed
 from .storage import (
     load_checkpoint,
     load_dataset,

@@ -59,15 +59,14 @@ class BackboneSpec:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    algorithm: str = "adam"
+    """Adam step size, batch size, epoch count and shuffle seed of one stage."""
+
     learning_rate: float = 1e-3
     batch_size: int = 8
     epochs: int = 10
     seed: int | None = None  # None: PhaseConfig derives it from the run seed
 
     def __post_init__(self):
-        if self.algorithm not in ("adam", "sgd_momentum"):
-            raise ValueOutOfRange(f"unknown optimizer {self.algorithm!r}")
         if not (0.0 <= self.learning_rate < 1.0):
             raise ValueOutOfRange(f"learning_rate must lie in [0, 1), got {self.learning_rate}")
         if self.batch_size < 1:
@@ -326,30 +325,24 @@ def loss_and_grad(
 
 @dataclass(frozen=True, eq=False)
 class OptState:
-    """Optimizer scratch state; advance it only through train_step."""
+    """Adam moment estimates; advance them only through train_step."""
 
-    algorithm: str
     step: int
     m: np.ndarray
-    v: np.ndarray | None
+    v: np.ndarray
 
-    _SGD_MOMENTUM = 0.9
     _ADAM_B1 = 0.9
     _ADAM_B2 = 0.999
     _ADAM_EPS = 1e-8
 
 
-def init_opt_state(cfg: OptimizerConfig, n_params: int) -> OptState:
-    v = np.zeros(n_params) if cfg.algorithm == "adam" else None
-    return OptState(cfg.algorithm, 0, np.zeros(n_params), v)
+def init_opt_state(n_params: int) -> OptState:
+    return OptState(0, np.zeros(n_params), np.zeros(n_params))
 
 
 def _apply_update(
     vals: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig, st: OptState
 ) -> tuple[np.ndarray, OptState]:
-    if cfg.algorithm == "sgd_momentum":
-        m = OptState._SGD_MOMENTUM * st.m + grad
-        return vals - cfg.learning_rate * m, OptState("sgd_momentum", st.step + 1, m, None)
     b1, b2 = OptState._ADAM_B1, OptState._ADAM_B2
     t = st.step + 1
     m = b1 * st.m + (1.0 - b1) * grad
@@ -357,7 +350,7 @@ def _apply_update(
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     new = vals - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + OptState._ADAM_EPS)
-    return new, OptState("adam", t, m, v)
+    return new, OptState(t, m, v)
 
 
 def train_step(
@@ -370,11 +363,7 @@ def train_step(
 ) -> tuple[ParamVector, OptState, LossBreakdown]:
     """One optimizer step on the batch-mean loss; returns the pre-step loss."""
     if opt_state is None:
-        opt_state = init_opt_state(cfg, len(theta))
-    if opt_state.algorithm != cfg.algorithm:
-        raise ValueOutOfRange(
-            f"optimizer state is for {opt_state.algorithm!r}, config wants {cfg.algorithm!r}"
-        )
+        opt_state = init_opt_state(len(theta))
     lb, grad = loss_and_grad(spec, theta, batch, loss_cfg)
     new_vals, new_state = _apply_update(theta.values, grad, cfg, opt_state)
     return ParamVector(new_vals, theta.layout_id), new_state, lb

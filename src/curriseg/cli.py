@@ -331,16 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    g = GenConfig(count=1)  # the field defaults; --count itself is required
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--count", type=int, required=True, help="number of items")
-    p.add_argument("--size", type=_size, default=(64, 64), help="image size HxW (default 64x64)")
-    p.add_argument("--fg-lo", type=float, default=0.008, help="min foreground ratio")
-    p.add_argument("--fg-hi", type=float, default=0.02, help="max foreground ratio")
-    p.add_argument("--empty-frac", type=float, default=0.0, help="fraction of empty-mask items")
-    p.add_argument("--irregularity", type=float, default=0.5, help="blob shape irregularity in [0,1]")
-    p.add_argument("--noise-sigma", type=float, default=1.0, help="background noise scale")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=_size, default=(g.height, g.width), help=f"image size HxW (default {g.height}x{g.width})")
+    p.add_argument("--fg-lo", type=float, default=g.fg_ratio_range[0], help="min foreground ratio")
+    p.add_argument("--fg-hi", type=float, default=g.fg_ratio_range[1], help="max foreground ratio")
+    p.add_argument("--empty-frac", type=float, default=g.empty_slice_fraction, help="fraction of empty-mask items")
+    p.add_argument("--irregularity", type=float, default=g.blob_irregularity, help="blob shape irregularity in [0,1]")
+    p.add_argument("--noise-sigma", type=float, default=g.noise_sigma, help="background noise scale")
+    p.add_argument("--seed", type=int, default=g.seed)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="run the full curriculum")

@@ -38,10 +38,6 @@ class LengthMismatch(CurrisegError):
     """Two sequences that must have equal length do not."""
 
 
-class BadFoldCount(CurrisegError):
-    """Requested fold count is unusable for the item count."""
-
-
 class BadMagic(CurrisegError):
     """Checkpoint file does not start with the expected magic bytes."""
 

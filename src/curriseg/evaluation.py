@@ -1,4 +1,4 @@
-"""Overlap scoring and deterministic cross-validation splits."""
+"""Dice overlap scoring and per-item evaluation reports."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFoldCount, EmptyDataset, LengthMismatch, ShapeMismatch
-from .rng import Rng
+from .errors import EmptyDataset, LengthMismatch, ShapeMismatch
 from .types import Mask
 
 
@@ -20,18 +19,6 @@ def dsc(a: Mask, b: Mask) -> float:
     if size == 0:
         return 1.0
     return 2.0 * inter / size
-
-
-def foreground_ratio(masks) -> float:
-    """Foreground pixels over total pixels, pooled across all masks."""
-    fg = 0
-    total = 0
-    for m in masks:
-        fg += int(m.labels.sum())
-        total += m.labels.size
-    if total == 0:
-        raise EmptyDataset("foreground_ratio needs at least one mask")
-    return fg / total
 
 
 @dataclass(frozen=True)
@@ -63,17 +50,6 @@ class EvalReport:
             "count": self.count,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalReport":
-        return cls(
-            per_item=tuple((e["id"], e["dsc"]) for e in doc["per_item"]),
-            mean=doc["mean"],
-            std=doc["std"],
-            max=doc["max"],
-            min=doc["min"],
-            count=doc["count"],
-        )
-
 
 def evaluate_set(
     preds: list[Mask],
@@ -103,28 +79,3 @@ def evaluate_set(
         min=float(arr.min()),
         count=len(scores),
     )
-
-
-def split_folds(n_items: int, n_folds: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    """Shuffle 0..n_items-1 and cut into (train, test) index pairs.
-
-    Every index lands in exactly one test fold and test-fold sizes differ
-    by at most one (the first n_items % n_folds folds get the extra
-    element). Each train list is the complement in shuffled order.
-    """
-    if n_items < 1:
-        raise EmptyDataset(f"cannot split {n_items} items")
-    if n_folds < 2 or n_folds > n_items:
-        raise BadFoldCount(f"n_folds must lie in [2, {n_items}], got {n_folds}")
-    order = list(range(n_items))
-    Rng(seed).shuffle(order)
-    base, extra = divmod(n_items, n_folds)
-    folds = []
-    at = 0
-    for i in range(n_folds):
-        size = base + (1 if i < extra else 0)
-        test = order[at : at + size]
-        train = order[:at] + order[at + size :]
-        folds.append((train, test))
-        at += size
-    return folds

@@ -2,7 +2,7 @@
 
 Every stochastic path in the library draws from this generator so that runs
 are reproducible bit-for-bit across processes and across implementations in
-other languages. The algorithm is SplitMix64 (Steele, Lea & Flood's
+other languages. The generator is SplitMix64 (Steele, Lea & Flood's
 fixed-increment variant), fully specified by three constants:
 
     state    <- (state + 0x9E3779B97F4A7C15) mod 2^64      (per draw)
@@ -17,7 +17,7 @@ is ``mix64(s + k * GOLDEN)``; block draws therefore vectorize over a counter.
 Derived conventions, all part of the on-disk reproducibility contract:
 
 * ``uniform``: a 53-bit mantissa double, ``(u >> 11) * 2**-53`` in [0, 1).
-* ``normal``: Box-Muller on consecutive uniform pairs (u1, u2):
+* ``normals``: Box-Muller on consecutive uniform pairs (u1, u2):
   ``r = sqrt(-2 ln(1 - u1))``, ``z0 = r cos(2 pi u2)``, ``z1 = r sin(2 pi u2)``,
   emitted in that order.
 * ``below(n)``: ``next_u64() mod n`` (n is tiny everywhere we use it).
@@ -97,9 +97,6 @@ class Rng:
         out[0::2] = r * np.cos(a)
         out[1::2] = r * np.sin(a)
         return out[:n]
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
     def below(self, n: int) -> int:
         """Uniform-ish integer in [0, n); modulo reduction by contract."""

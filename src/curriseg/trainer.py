@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .backbone import BackboneSpec, OptimizerConfig, init_params, train_step
-from .ema import CacheModel, cache_forward, cache_init, cache_update
-from .errors import CorruptManifest, EmptyDataset, NonFiniteLoss, ValueOutOfRange
+from .ema import DEFAULT_ALPHA, CacheModel, cache_forward, cache_init, cache_update
+from .errors import AlignmentError, CorruptManifest, EmptyDataset, NonFiniteLoss, ValueOutOfRange
 from .evaluation import dsc
 from .geometry import bbox_from_mask, crop_like, make_crop_record, threshold
 from .losses import LossConfig
@@ -70,7 +70,7 @@ class PhaseConfig:
     phase2: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=3)
     phase3: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=17)
     segmentation: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=10)
-    alpha: float = 0.99
+    alpha: float = DEFAULT_ALPHA
     crop_margin: int = 12
     seed: int = 0
 
@@ -379,7 +379,7 @@ class _RunDir:
 
 def run_full(
     raw_train: DatasetPhase,
-    raw_val: DatasetPhase,
+    raw_val: DatasetPhase | None,
     cfg: PhaseConfig,
     spec: BackboneSpec = BackboneSpec(),
     loss_cfg: LossConfig = LossConfig(),
@@ -395,11 +395,22 @@ def run_full(
     `out_dir` set, stage checkpoints, the cache-cropped dataset, and the
     history log are persisted after every stage; `resume=True` picks a
     previous run back up at stage granularity (same config expected).
+    Every image must have sides that are multiples of
+    `spec.input_align`; this is checked before anything is trained or
+    written.
     """
     active = set(DETECTION_PHASES) if phases is None else {str(p) for p in phases}
     unknown = active - set(DETECTION_PHASES)
     if unknown:
         raise ValueOutOfRange(f"unknown phases {sorted(unknown)}; valid: {DETECTION_PHASES}")
+    a = spec.input_align
+    for name, phase in (("training", raw_train), ("validation", raw_val)):
+        for i, it in enumerate(phase.items if phase is not None else ()):
+            if it.image.height % a or it.image.width % a:
+                raise AlignmentError(
+                    f"{name} item {it.item_id or i} has shape {it.image.shape}, "
+                    f"not a multiple of alignment {a}"
+                )
 
     runnable = [f"phase{s}" for s in DETECTION_PHASES if s in active] + ["segmentation"]
     rd = _RunDir(Path(out_dir) if out_dir is not None else None, runnable, resume, cfg.seed)

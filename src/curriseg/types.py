@@ -205,7 +205,8 @@ class DatasetItem:
     item_id: str | None = None
 
     def __post_init__(self):
-        validate_pair(self.image, self.mask)
+        if self.image.shape != self.mask.shape:
+            raise ShapeMismatch(f"image shape {self.image.shape} != mask shape {self.mask.shape}")
         if self.crop is not None and self.crop.out_shape != self.image.shape:
             raise ShapeMismatch(
                 f"crop record implies {self.crop.out_shape}, image is {self.image.shape}"
@@ -259,18 +260,6 @@ class LossBreakdown:
         return all(
             np.isfinite(v) for v in (self.l_iou, self.l_bce, self.l_s, self.l_total)
         )
-
-
-def validate_pair(img, msk) -> None:
-    """Check that an image/mask pair is well-formed and shape-consistent.
-
-    Accepts the wrapped types or raw 2D arrays (raw arrays get the same
-    element-level validation the constructors apply).
-    """
-    pixels = img.pixels if isinstance(img, Image) else check_image_array(img)
-    labels = msk.labels if isinstance(msk, Mask) else check_mask_array(msk)
-    if pixels.shape != labels.shape:
-        raise ShapeMismatch(f"image shape {pixels.shape} != mask shape {labels.shape}")
 
 
 def mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:

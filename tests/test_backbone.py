@@ -16,7 +16,6 @@ from curriseg import (
     Rng,
     ValueOutOfRange,
     forward,
-    init_opt_state,
     init_params,
     loss_and_grad,
     loss_grad,
@@ -227,10 +226,10 @@ def test_loss_and_grad_nonfinite_guard():
 # --------------------------------------------------------------- train_step
 
 
-def test_zero_lr_sgd_is_null_step():
+def test_zero_lr_is_null_step():
     theta = init_params(TINY, 11)
     img, msk = small_pair(2)
-    cfg = OptimizerConfig(algorithm="sgd_momentum", learning_rate=0.0, batch_size=1, epochs=1)
+    cfg = OptimizerConfig(learning_rate=0.0, batch_size=1, epochs=1)
     new, st, lb = train_step(TINY, theta, [(img, msk)], cfg, LOSS)
     assert np.array_equal(new.values, theta.values)
     assert st.step == 1
@@ -239,7 +238,7 @@ def test_zero_lr_sgd_is_null_step():
 def test_returned_loss_is_pre_step():
     theta = init_params(TINY, 12)
     img, msk = small_pair(3)
-    cfg = OptimizerConfig(algorithm="adam", learning_rate=0.01, batch_size=1, epochs=1)
+    cfg = OptimizerConfig(learning_rate=0.01, batch_size=1, epochs=1)
     lb_direct, _ = loss_and_grad(TINY, theta, [(img, msk)], LOSS)
     _, _, lb = train_step(TINY, theta, [(img, msk)], cfg, LOSS)
     assert lb.l_total == lb_direct.l_total
@@ -248,7 +247,7 @@ def test_returned_loss_is_pre_step():
 def test_adam_first_step_oracle():
     theta = init_params(TINY, 13)
     img, msk = small_pair(4)
-    cfg = OptimizerConfig(algorithm="adam", learning_rate=2e-3, batch_size=1, epochs=1)
+    cfg = OptimizerConfig(learning_rate=2e-3, batch_size=1, epochs=1)
     _, g = loss_and_grad(TINY, theta, [(img, msk)], LOSS)
     # bias-corrected first step: m_hat = g, v_hat = g^2
     want = theta.values - cfg.learning_rate * g / (np.sqrt(g * g) + 1e-8)
@@ -257,25 +256,9 @@ def test_adam_first_step_oracle():
     assert st.step == 1
 
 
-def test_sgd_momentum_two_step_oracle():
-    theta = init_params(TINY, 14)
-    img, msk = small_pair(5)
-    cfg = OptimizerConfig(algorithm="sgd_momentum", learning_rate=1e-2, batch_size=1, epochs=1)
-    _, g1 = loss_and_grad(TINY, theta, [(img, msk)], LOSS)
-    v1 = theta.values - cfg.learning_rate * g1
-    t1 = ParamVector(v1, theta.layout_id)
-    _, g2 = loss_and_grad(TINY, t1, [(img, msk)], LOSS)
-    want = v1 - cfg.learning_rate * (0.9 * g1 + g2)
-
-    new, st, _ = train_step(TINY, theta, [(img, msk)], cfg, LOSS)
-    new, st, _ = train_step(TINY, new, [(img, msk)], cfg, LOSS, st)
-    np.testing.assert_allclose(new.values, want, rtol=1e-12, atol=0)
-    assert st.step == 2
-
-
 def test_train_step_reproducible():
     img, msk = small_pair(6)
-    cfg = OptimizerConfig(algorithm="adam", learning_rate=1e-3, batch_size=1, epochs=1)
+    cfg = OptimizerConfig(learning_rate=1e-3, batch_size=1, epochs=1)
 
     def one():
         theta = init_params(TINY, 15)
@@ -285,15 +268,6 @@ def test_train_step_reproducible():
         return theta.values
 
     assert np.array_equal(one(), one())
-
-
-def test_state_algorithm_mismatch_rejected():
-    theta = init_params(TINY, 16)
-    img, msk = small_pair(7)
-    st = init_opt_state(OptimizerConfig(algorithm="adam"), len(theta))
-    bad = OptimizerConfig(algorithm="sgd_momentum")
-    with pytest.raises(ValueOutOfRange):
-        train_step(TINY, theta, [(img, msk)], bad, LOSS, st)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -307,7 +281,7 @@ def test_smoke_training_halves_loss(seed):
     img = Image(img_arr)
     msk = Mask((img_arr > 0.5).astype(np.uint8))
     theta = init_params(spec, seed)
-    cfg = OptimizerConfig(algorithm="adam", learning_rate=3e-3, batch_size=1, epochs=1)
+    cfg = OptimizerConfig(learning_rate=3e-3, batch_size=1, epochs=1)
     st = None
     first = None
     for _ in range(200):
@@ -318,8 +292,6 @@ def test_smoke_training_halves_loss(seed):
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueOutOfRange):
-        OptimizerConfig(algorithm="rmsprop")
     with pytest.raises(ValueOutOfRange):
         OptimizerConfig(learning_rate=1.0)
     with pytest.raises(ValueOutOfRange):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curriseg import OptimizerConfig, PhaseConfig, PredictConfig, derive_seed, read_pgm
+from curriseg import GenConfig, OptimizerConfig, PhaseConfig, PredictConfig, derive_seed, generate, read_pgm
+from curriseg import cli
 from curriseg.cli import entry, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,6 +67,18 @@ def test_gen_writes_loadable_dataset(tmp_path):
     assert manifest["meta"]["height"] == 32 and manifest["meta"]["width"] == 48
     img = read_pgm(tmp_path / "d" / manifest["items"][0]["image"])
     assert img.shape == (32, 48)
+
+
+def test_gen_defaults_are_genconfig_defaults(tmp_path, monkeypatch):
+    built = []
+
+    def spy(cfg):
+        built.append(cfg)
+        return generate(cfg)
+
+    monkeypatch.setattr(cli, "generate", spy)
+    assert entry(["gen", "--out", str(tmp_path / "d"), "--count", "1"]) == 0
+    assert built == [GenConfig(count=1)]
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -182,19 +195,26 @@ def test_train_resume_completes_quickly(workspace, tmp_path):
 
 
 def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"trainer": {}}))
-    rc = entry(
-        [
-            "train",
-            "--data", str(workspace / "train"),
-            "--val", str(workspace / "val"),
-            "--out", str(tmp_path / "x"),
-            "--config", str(bad),
-        ]
-    )
-    assert rc == 1
-    assert "unknown config key" in capsys.readouterr().err
+    cases = [
+        ({"trainer": {}}, "trainer"),
+        # the optimizer "algorithm" key of older configs
+        ({"run": {"phase1": {"algorithm": "adam"}}}, "run.phase1.algorithm"),
+    ]
+    for doc, key in cases:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = entry(
+            [
+                "train",
+                "--data", str(workspace / "train"),
+                "--val", str(workspace / "val"),
+                "--out", str(tmp_path / "x"),
+                "--config", str(bad),
+            ]
+        )
+        assert rc == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_config_defaults_and_seed_derivation(tmp_path):
@@ -214,7 +234,7 @@ def test_config_defaults_and_seed_derivation(tmp_path):
 def test_reference_experiment_defaults():
     # PhaseConfig() and PredictConfig() are the reference experiment ...
     def stage(lr, epochs, ordinal):
-        return OptimizerConfig("adam", lr, 8, epochs, derive_seed(0, 100 + ordinal))
+        return OptimizerConfig(lr, 8, epochs, derive_seed(0, 100 + ordinal))
 
     reference = PhaseConfig(
         phase1=stage(3e-3, 4, 1),
@@ -314,7 +334,8 @@ def test_predict_refinement_traces(workspace, tmp_path):
 
 def test_predict_reads_older_run_directories(workspace, predictions, tmp_path):
     # run_config.json and cache sidecars as written before the cache mode,
-    # d2_fallback and normalize_bce were removed and the kernel was nested
+    # d2_fallback, normalize_bce and the optimizer algorithm were removed
+    # and the kernel was nested
     run = tmp_path / "old_run"
     shutil.copytree(workspace / "run", run)
     old_stage = {"algorithm": "adam", "learning_rate": 2e-3, "batch_size": 2, "seed": None}

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from curriseg import (
-    BadFoldCount,
     EmptyDataset,
-    EvalReport,
     LengthMismatch,
     Mask,
     ShapeMismatch,
     dsc,
     evaluate_set,
-    foreground_ratio,
-    split_folds,
 )
 
 from conftest import rand_mask
@@ -61,14 +57,6 @@ def test_dsc_shape_mismatch():
         dsc(mk(np.zeros((2, 2))), mk(np.zeros((2, 3))))
 
 
-def test_foreground_ratio_pooled():
-    a = mk([[1, 0], [0, 0]])  # 1/4
-    b = mk([[1, 1], [1, 1]])  # 4/4
-    assert foreground_ratio([a, b]) == 5 / 8
-    with pytest.raises(EmptyDataset):
-        foreground_ratio([])
-
-
 def test_evaluate_set_statistics():
     ones = mk(np.ones((2, 2)))
     zeros = mk(np.zeros((2, 2)))
@@ -113,35 +101,11 @@ def test_report_json_round_trip():
         ids=["x", "y"],
     )
     doc = json.loads(json.dumps(rep.as_dict()))
-    back = EvalReport.from_dict(doc)
-    assert back == rep
-
-
-def test_split_folds_82_by_4():
-    folds = split_folds(82, 4, seed=0)
-    sizes = sorted(len(test) for _, test in folds)
-    assert sizes == [20, 20, 21, 21]
-    assert [len(t) for _, t in folds] == [21, 21, 20, 20]  # extras go first
-
-
-def test_split_folds_partition_properties():
-    folds = split_folds(23, 5, seed=9)
-    all_test = [i for _, test in folds for i in test]
-    assert sorted(all_test) == list(range(23))  # exactly one test fold each
-    for train, test in folds:
-        assert set(train) == set(range(23)) - set(test)
-        assert len(train) + len(test) == 23
-
-
-def test_split_folds_deterministic():
-    assert split_folds(30, 3, seed=4) == split_folds(30, 3, seed=4)
-    assert split_folds(30, 3, seed=4) != split_folds(30, 3, seed=5)
-
-
-def test_split_folds_bad_counts():
-    with pytest.raises(BadFoldCount):
-        split_folds(10, 1, seed=0)
-    with pytest.raises(BadFoldCount):
-        split_folds(10, 11, seed=0)
-    with pytest.raises(EmptyDataset):
-        split_folds(0, 2, seed=0)
+    assert doc == {
+        "per_item": [{"id": "x", "dsc": 1.0}, {"id": "y", "dsc": 0.0}],
+        "mean": 0.5,
+        "std": 0.5,
+        "max": 1.0,
+        "min": 0.0,
+        "count": 2,
+    }

@@ -21,7 +21,6 @@ from curriseg import (
     loss_total,
     make_crop_record,
     paste_back,
-    split_folds,
     threshold,
 )
 from curriseg.geometry import reflect_indices
@@ -144,25 +143,6 @@ def test_cache_update_stays_in_hull(seed, alpha, n_updates):
     assert (cache.params.values >= lo - 1e-12).all()
     assert (cache.params.values <= hi + 1e-12).all()
     assert cache.updates == n_updates
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    st.integers(min_value=2, max_value=10),
-    st.integers(min_value=0, max_value=50),
-    seeds,
-)
-def test_split_folds_partition(n_folds, extra, seed):
-    n_items = n_folds + extra
-    folds = split_folds(n_items, n_folds, seed)
-    assert len(folds) == n_folds
-    all_test = [i for _, test in folds for i in test]
-    assert sorted(all_test) == list(range(n_items))
-    for train, test in folds:
-        assert sorted(train + test) == list(range(n_items))
-        assert not set(train) & set(test)
-    sizes = [len(test) for _, test in folds]
-    assert max(sizes) - min(sizes) <= 1
 
 
 @settings(deadline=None, max_examples=30)

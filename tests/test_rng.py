@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from curriseg import Rng, derive_seed, mix64
-from curriseg.rng import GOLDEN
+from curriseg import Rng, derive_seed
+from curriseg.rng import GOLDEN, mix64
 
 
 def test_mix64_reference_values():

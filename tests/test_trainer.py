@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curriseg import (
+    AlignmentError,
     BackboneSpec,
     CacheModel,
     CorruptManifest,
@@ -290,6 +291,16 @@ def test_unknown_phase_rejected():
     raw = raw_phase()
     with pytest.raises(ValueOutOfRange):
         run_full(raw, None, tiny_cfg(), TINY, phases=["4"])
+
+
+def test_unaligned_input_fails_before_anything_is_written(tmp_path):
+    spec = BackboneSpec()  # input_align 4
+    good, bad = raw_phase(size=24), raw_phase(size=66)
+    for train, val in ((bad, good), (good, bad)):
+        out = tmp_path / "run"
+        with pytest.raises(AlignmentError):
+            run_full(train, val, tiny_cfg(), spec, out_dir=out)
+        assert not out.exists()
 
 
 def test_run_full_deterministic():

@@ -15,26 +15,6 @@ from curriseg import (
     ValueOutOfRange,
     masks_equal,
 )
-from curriseg.types import validate_pair
-
-
-def test_validate_pair_accepts_matching_shapes():
-    img = Image(np.full((4, 4), 0.5))
-    msk = Mask(np.zeros((4, 4), dtype=np.uint8))
-    validate_pair(img, msk)  # silent success
-
-
-def test_validate_pair_rejects_shape_mismatch():
-    img = Image(np.full((4, 4), 0.5))
-    msk = Mask(np.zeros((3, 4), dtype=np.uint8))
-    with pytest.raises(ShapeMismatch):
-        validate_pair(img, msk)
-
-
-def test_validate_pair_rejects_bad_mask_value():
-    with pytest.raises(ValueOutOfRange) as exc:
-        validate_pair(np.full((2, 2), 0.5), np.array([[0, 2], [0, 1]]))
-    assert "(0, 1)" in str(exc.value)  # offending index reported
 
 
 def test_image_rejects_out_of_range_and_nonfinite():
@@ -47,6 +27,9 @@ def test_image_rejects_out_of_range_and_nonfinite():
 def test_mask_rejects_value_two():
     with pytest.raises(ValueOutOfRange):
         Mask(np.array([[0, 1], [2, 0]]))
+    with pytest.raises(ValueOutOfRange) as exc:
+        Mask(np.array([[0, 2], [0, 1]]))
+    assert "(0, 1)" in str(exc.value)  # offending index reported
 
 
 def test_probmap_range_checked():
