@@ -27,8 +27,12 @@ def test_image_rejects_out_of_range_and_nonfinite():
 def test_mask_rejects_value_two():
     with pytest.raises(ValueOutOfRange):
         Mask(np.array([[0, 1], [2, 0]]))
+
+
+def test_validate_pair_rejects_bad_mask_value():
+    # An image/mask pair is validated when its DatasetItem is built.
     with pytest.raises(ValueOutOfRange) as exc:
-        Mask(np.array([[0, 2], [0, 1]]))
+        DatasetItem(Image(np.full((2, 2), 0.5)), Mask(np.array([[0, 2], [0, 1]])))
     assert "(0, 1)" in str(exc.value)  # offending index reported
 
 
