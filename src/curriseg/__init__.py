@@ -53,13 +53,11 @@ from .predictor import IterationRecord, PredictConfig, PredictTrace, predict
 from .rng import Rng, derive_seed
 from .storage import (
     load_checkpoint,
-    load_dataset,
     load_image,
     load_mask,
     load_phase,
     read_pgm,
     save_checkpoint,
-    save_dataset,
     save_image,
     save_mask,
     save_phase,

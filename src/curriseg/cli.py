@@ -23,10 +23,11 @@ from .errors import CorruptManifest, CurrisegError, LengthMismatch
 from .evaluation import evaluate_set
 from .losses import LossConfig
 from .predictor import PredictConfig, predict
-from .storage import load_phase, save_mask, save_phase
+from .storage import load_mask, load_phase, save_mask, save_phase
 from .svg import line_chart
 from .synthdata import GenConfig, generate
 from .trainer import STAGES, PhaseConfig, history_from_json, load_cache, run_full
+from .types import Mask
 from . import trainer
 
 # config section -> the dataclass it builds; the dataclass defaults are the
@@ -117,28 +118,26 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     phase = generate(cfg)
-    meta = {
-        "count": cfg.count,
-        "height": cfg.height,
-        "width": cfg.width,
-        "fg_ratio_range": list(cfg.fg_ratio_range),
-        "blob_irregularity": cfg.blob_irregularity,
-        "noise_sigma": cfg.noise_sigma,
-        "empty_slice_fraction": cfg.empty_slice_fraction,
-        "seed": cfg.seed,
-    }
-    save_phase(args.out, phase, meta)
+    save_phase(args.out, phase, _tree(cfg))
     print(f"wrote {len(phase.items)} items to {args.out}")
     return 0
+
+
+def _by_stage(history) -> list[tuple[str, str, list]]:
+    """(stage name, history label, its records) for every stage that has
+    records, in curriculum order."""
+    out = []
+    for name, (label, _) in STAGES.items():
+        recs = [r for r in history if r.phase == label]
+        if recs:
+            out.append((name, label, recs))
+    return out
 
 
 def _write_stage_logs(run_dir: Path, history) -> None:
     logs = run_dir / "logs"
     logs.mkdir(exist_ok=True)
-    for name, (label, _) in STAGES.items():
-        recs = [r for r in history if r.phase == label]
-        if not recs:
-            continue
+    for name, _, recs in _by_stage(history):
         lines = []
         for r in recs:
             val = "" if r.val_dsc is None else f"  val_dsc={r.val_dsc:.4f}"
@@ -166,11 +165,6 @@ def cmd_train(args) -> int:
         phases -= set(ablated)
 
     run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    echo = dict(cfg)
-    echo["ablate_phases"] = ablated
-    (run_dir / "run_config.json").write_text(json.dumps(echo, indent=2) + "\n")
-
     state = run_full(
         raw_train,
         raw_val,
@@ -181,17 +175,19 @@ def cmd_train(args) -> int:
         phases=phases,
         resume=args.resume,
     )
+    # written only once run_full has checked the data and made the directory
+    echo = dict(cfg)
+    echo["ablate_phases"] = ablated
+    (run_dir / "run_config.json").write_text(json.dumps(echo, indent=2) + "\n")
     _write_stage_logs(run_dir, state.history)
 
-    for label, _ in STAGES.values():
-        recs = [r for r in state.history if r.phase == label]
-        if recs:
-            last = recs[-1]
-            val = "n/a" if last.val_dsc is None else f"{last.val_dsc:.4f}"
-            print(
-                f"stage {label}: {len(recs)} epochs, final l_total={last.loss.l_total:.6f}, "
-                f"val_dsc={val}"
-            )
+    for _, label, recs in _by_stage(state.history):
+        last = recs[-1]
+        val = "n/a" if last.val_dsc is None else f"{last.val_dsc:.4f}"
+        print(
+            f"stage {label}: {len(recs)} epochs, final l_total={last.loss.l_total:.6f}, "
+            f"val_dsc={val}"
+        )
     print(f"run artifacts in {run_dir}")
     return 0
 
@@ -223,34 +219,28 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _mask_files(dir_path: Path) -> dict[str, Path]:
+def _masks(dir_path: Path) -> dict[str, Mask]:
+    """Masks by id: a dataset directory's items, or every *.pgm file."""
     if (dir_path / "manifest.json").exists():
         phase, _ = load_phase(dir_path)
-        root = dir_path
-        out = {}
-        for i, item in enumerate(phase.items):
-            item_id = item.item_id or f"img_{i:05d}"
-            out[item_id] = root / "masks" / f"{item_id}.pgm"
-        return out
-    return {p.stem: p for p in sorted(dir_path.glob("*.pgm"))}
+        return {item.item_id or f"img_{i:05d}": item.mask for i, item in enumerate(phase.items)}
+    return {p.stem: load_mask(p) for p in sorted(dir_path.glob("*.pgm"))}
 
 
 def cmd_eval(args) -> int:
-    from .storage import load_mask
-
-    pred_files = _mask_files(Path(args.pred))
-    truth_files = _mask_files(Path(args.truth))
-    if len(pred_files) != len(truth_files):
+    pred_masks = _masks(Path(args.pred))
+    truth_masks = _masks(Path(args.truth))
+    if len(pred_masks) != len(truth_masks):
         raise LengthMismatch(
-            f"{len(pred_files)} predictions in {args.pred} vs {len(truth_files)} references in {args.truth}"
+            f"{len(pred_masks)} predictions in {args.pred} vs {len(truth_masks)} references in {args.truth}"
         )
-    if set(pred_files) != set(truth_files):
-        missing = sorted(set(truth_files) - set(pred_files))[:5]
+    if set(pred_masks) != set(truth_masks):
+        missing = sorted(set(truth_masks) - set(pred_masks))[:5]
         raise LengthMismatch(f"prediction ids do not match references (e.g. missing {missing})")
 
-    ids = sorted(pred_files)
-    preds = [load_mask(pred_files[i]) for i in ids]
-    refs = [load_mask(truth_files[i]) for i in ids]
+    ids = sorted(pred_masks)
+    preds = [pred_masks[i] for i in ids]
+    refs = [truth_masks[i] for i in ids]
     report = evaluate_set(preds, refs, ids=ids)
     doc = {"version": 1}
     doc.update(report.as_dict())
@@ -268,11 +258,9 @@ def cmd_report(args) -> int:
     plots = Path(args.plots)
     plots.mkdir(parents=True, exist_ok=True)
 
+    stages = _by_stage(history)
     written = []
-    for name, (label, _) in STAGES.items():
-        recs = [r for r in history if r.phase == label]
-        if not recs:
-            continue
+    for name, label, recs in stages:
         xs = [float(r.epoch) for r in recs]
         series = [
             ("l_total", xs, [r.loss.l_total for r in recs]),
@@ -291,8 +279,7 @@ def cmd_report(args) -> int:
 
     dsc_series = []
     offset = 0
-    for label, _ in STAGES.values():
-        recs = [r for r in history if r.phase == label]
+    for _, label, recs in stages:
         pts = [(offset + i, r.val_dsc) for i, r in enumerate(recs) if r.val_dsc is not None]
         offset += len(recs)
         if pts:

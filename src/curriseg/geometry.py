@@ -92,14 +92,14 @@ def crop_like(arr: np.ndarray, rec: CropRecord) -> np.ndarray:
     return np.pad(core, ((pt, pb), (pl, pr)))
 
 
-def paste_back(p: ProbMap, rec: CropRecord, fill: float) -> ProbMap:
+def paste_back(p: ProbMap, rec: CropRecord) -> ProbMap:
     """Place a cropped probability map back onto a full-size canvas.
 
-    The unpadded region of `p` lands at `rec.box`; everywhere else is `fill`.
+    The unpadded region of `p` lands at `rec.box`; everywhere else is 0.
     """
     if p.shape != rec.out_shape:
         raise ShapeMismatch(f"prob map shape {p.shape} != crop output shape {rec.out_shape}")
-    canvas = np.full(rec.source_shape, float(fill), dtype=np.float64)
+    canvas = np.zeros(rec.source_shape, dtype=np.float64)
     b = rec.box
     pt, _, pl, _ = rec.pad
     core = p.probs[pt : pt + b.height, pl : pl + b.width]

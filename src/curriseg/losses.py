@@ -23,24 +23,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, ValueOutOfRange
+from .errors import ShapeMismatch
 from .geometry import GaussianKernel, gaussian_smooth, gaussian_smooth_adjoint
 from .types import LossBreakdown, Mask, ProbMap
 
 
+# Numerical guards: the cross-entropy clamps p to [EPS_LOG, 1 - EPS_LOG],
+# and EPS_DIV keeps every ratio's denominator away from zero.
+EPS_LOG = 1e-7
+EPS_DIV = 1e-7
+
+
 @dataclass(frozen=True, eq=False)
 class LossConfig:
-    """Numerical guards and the smoothing kernel shared by all losses."""
+    """The smoothing kernel shared by all losses."""
 
-    eps_log: float = 1e-7
-    eps_div: float = 1e-7
     kernel: GaussianKernel = field(default_factory=GaussianKernel)
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_log < 0.5):
-            raise ValueOutOfRange(f"eps_log must lie in (0, 0.5), got {self.eps_log}")
-        if self.eps_div <= 0.0:
-            raise ValueOutOfRange(f"eps_div must be > 0, got {self.eps_div}")
 
 
 def _check_shapes(p: ProbMap, t: Mask) -> tuple[np.ndarray, np.ndarray]:
@@ -53,20 +51,20 @@ def loss_iou(p: ProbMap, t: Mask, cfg: LossConfig) -> float:
     pa, ta = _check_shapes(p, t)
     inter = float((ta * pa).sum())
     union = float(ta.sum() + pa.sum()) - inter
-    return 1.0 - inter / (union + cfg.eps_div)
+    return 1.0 - inter / (union + EPS_DIV)
 
 
 def loss_bce(p: ProbMap, t: Mask, cfg: LossConfig) -> float:
     pa, ta = _check_shapes(p, t)
-    pc = np.clip(pa, cfg.eps_log, 1.0 - cfg.eps_log)
+    pc = np.clip(pa, EPS_LOG, 1.0 - EPS_LOG)
     return -float((ta * np.log(pc) + (1.0 - ta) * np.log1p(-pc)).sum())
 
 
 def _smoothed_terms(pa: np.ndarray, ta: np.ndarray, cfg: LossConfig):
     th = gaussian_smooth(ta, cfg.kernel)
     ph = gaussian_smooth(pa, cfg.kernel)
-    denom = th * th + ph * ph + cfg.eps_div
-    term = (2.0 * th * ph + cfg.eps_div) / denom
+    denom = th * th + ph * ph + EPS_DIV
+    term = (2.0 * th * ph + EPS_DIV) / denom
     return th, ph, denom, term
 
 
@@ -89,17 +87,17 @@ def loss_grad(p: ProbMap, t: Mask, cfg: LossConfig) -> np.ndarray:
 
     # overlap term: L = 1 - I/D with I = sum(t p), D = sum(t)+sum(p)-I+eps
     inter = float((ta * pa).sum())
-    denom = float(ta.sum() + pa.sum()) - inter + cfg.eps_div
+    denom = float(ta.sum() + pa.sum()) - inter + EPS_DIV
     g_iou = -(ta * denom - inter * (1.0 - ta)) / (denom * denom)
 
     # cross-entropy: flat outside the clamp interval
-    pc = np.clip(pa, cfg.eps_log, 1.0 - cfg.eps_log)
-    inside = (pa > cfg.eps_log) & (pa < 1.0 - cfg.eps_log)
+    pc = np.clip(pa, EPS_LOG, 1.0 - EPS_LOG)
+    inside = (pa > EPS_LOG) & (pa < 1.0 - EPS_LOG)
     g_bce = np.where(inside, -ta / pc + (1.0 - ta) / (1.0 - pc), 0.0)
 
     # smoothed overlap: chain through the convolution adjoint
     th, ph, denom_s, term = _smoothed_terms(pa, ta, cfg)
-    num = 2.0 * th * ph + cfg.eps_div
+    num = 2.0 * th * ph + EPS_DIV
     dterm_dph = (2.0 * th * denom_s - num * 2.0 * ph) / (denom_s * denom_s)
     g_s = gaussian_smooth_adjoint(-dterm_dph / pa.size, cfg.kernel)
 

@@ -109,7 +109,7 @@ def predict(
         rec = make_crop_record((h, w), whole if fallback else box, cfg.margin, spec.input_align)
         patch = Image(crop_like(x.pixels, rec))
         p_seg = cache_forward(spec, seg, patch)
-        pasted = paste_back(p_seg, rec, fill=0.0)
+        pasted = paste_back(p_seg, rec)
         mask = threshold(pasted, cfg.final_threshold)
 
         d = dsc(mask, prev_mask) if prev_mask is not None else None

@@ -37,7 +37,7 @@ from .errors import (
     ValueOutOfRange,
     VersionUnsupported,
 )
-from .types import BBox, CropRecord, DatasetItem, DatasetPhase, Image, Mask, ParamVector
+from .types import PHASE_IDS, BBox, CropRecord, DatasetItem, DatasetPhase, Image, Mask, ParamVector
 
 CHECKPOINT_MAGIC = b"CKSM"
 CHECKPOINT_VERSION = 1
@@ -137,13 +137,16 @@ def crop_from_dict(d: dict) -> CropRecord:
         raise CorruptManifest(f"bad crop record {d!r}: {exc}") from None
 
 
-def save_dataset(out_dir, items: list[DatasetItem], meta: dict | None = None) -> Path:
-    """Write rasters plus manifest.json; returns the manifest path."""
+def save_phase(out_dir, phase: DatasetPhase, meta: dict | None = None) -> Path:
+    """Write rasters plus manifest.json; returns the manifest path.
+
+    The phase id rides along in the manifest meta.
+    """
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, item in enumerate(items):
+    for i, item in enumerate(phase.items):
         item_id = item.item_id or f"img_{i:05d}"
         img_rel = f"images/{item_id}.pgm"
         msk_rel = f"masks/{item_id}.pgm"
@@ -153,13 +156,14 @@ def save_dataset(out_dir, items: list[DatasetItem], meta: dict | None = None) ->
         if item.crop is not None:
             entry["crop"] = crop_to_dict(item.crop)
         entries.append(entry)
-    manifest = {"meta": meta or {}, "items": entries}
+    manifest = {"meta": {**(meta or {}), "phase_id": phase.phase_id}, "items": entries}
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
 
 
-def load_dataset(in_dir) -> tuple[list[DatasetItem], dict]:
+def load_phase(in_dir) -> tuple[DatasetPhase, dict]:
+    """Read a dataset directory; a manifest without a phase id is raw (D3)."""
     root = Path(in_dir)
     path = root / "manifest.json"
     try:
@@ -182,20 +186,9 @@ def load_dataset(in_dir) -> tuple[list[DatasetItem], dict]:
         crop = crop_from_dict(entry["crop"]) if "crop" in entry else None
         items.append(DatasetItem(img, msk, crop, entry.get("id")))
     meta = manifest.get("meta", {})
-    return items, meta if isinstance(meta, dict) else {}
-
-
-def save_phase(out_dir, phase: DatasetPhase, meta: dict | None = None) -> Path:
-    """Persist a curriculum phase; its id rides along in the manifest meta."""
-    merged = dict(meta or {})
-    merged["phase_id"] = phase.phase_id
-    return save_dataset(out_dir, list(phase.items), merged)
-
-
-def load_phase(in_dir) -> tuple[DatasetPhase, dict]:
-    items, meta = load_dataset(in_dir)
+    meta = meta if isinstance(meta, dict) else {}
     phase_id = meta.get("phase_id", "D3")
-    if phase_id not in ("D1", "D2", "D3"):
+    if phase_id not in PHASE_IDS:
         raise CorruptManifest(f"{in_dir}: unknown phase_id {phase_id!r}")
     return DatasetPhase(phase_id, tuple(items)), meta
 

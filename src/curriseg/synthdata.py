@@ -30,6 +30,10 @@ from .rng import Rng, derive_seed
 from .types import DatasetItem, DatasetPhase, Image, Mask
 
 _SMOOTH = GaussianKernel(sigma=1.0, radius=3)
+# Each image gets between these many decoys of each type, inclusive.
+DISTRACTORS_PER_TYPE = (3, 5)
+# Foreground draws tried per item before the fg_ratio_range is given up on.
+MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -41,9 +45,7 @@ class GenConfig:
     blob_irregularity: float = 0.5
     noise_sigma: float = 1.0
     empty_slice_fraction: float = 0.0
-    distractors_per_type: tuple[int, int] = (3, 5)
     seed: int = 0
-    max_attempts: int = 200
 
     def __post_init__(self):
         if self.count < 1:
@@ -61,11 +63,6 @@ class GenConfig:
             raise ValueOutOfRange(
                 f"empty_slice_fraction must lie in [0, 1), got {self.empty_slice_fraction}"
             )
-        d_lo, d_hi = self.distractors_per_type
-        if not (0 <= d_lo <= d_hi):
-            raise ValueOutOfRange(f"bad distractors_per_type ({d_lo}, {d_hi})")
-        if self.max_attempts < 1:
-            raise ValueOutOfRange("max_attempts must be >= 1")
 
 
 def _blob_mask(h: int, w: int, cy: float, cx: float, r0: float, amps, phases) -> np.ndarray:
@@ -113,7 +110,7 @@ def _draw_blob(rng: Rng, h: int, w: int, r0: float, irregularity: float) -> np.n
 def _draw_foreground(rng: Rng, cfg: GenConfig) -> np.ndarray:
     h, w = cfg.height, cfg.width
     lo, hi = cfg.fg_ratio_range
-    for _ in range(cfg.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         target = lo + rng.uniform() * (hi - lo)
         r0 = math.sqrt(target * h * w / math.pi)
         m = _draw_blob(rng, h, w, r0, cfg.blob_irregularity)
@@ -126,7 +123,7 @@ def _draw_foreground(rng: Rng, cfg: GenConfig) -> np.ndarray:
         if lo <= ratio <= hi and border_clear and _single_component(m):
             return m
     raise ValueOutOfRange(
-        f"no foreground matching fg_ratio_range {cfg.fg_ratio_range} in {cfg.max_attempts} attempts"
+        f"no foreground matching fg_ratio_range {cfg.fg_ratio_range} in {MAX_ATTEMPTS} attempts"
     )
 
 
@@ -141,7 +138,7 @@ def _render_item(cfg: GenConfig, rng: Rng, empty: bool) -> tuple[np.ndarray, np.
     img = 0.35 + (0.06 * low + 0.08 * grain) * cfg.noise_sigma
 
     speckle = rng.uniforms(h * w).reshape(h, w)
-    d_lo, d_hi = cfg.distractors_per_type
+    d_lo, d_hi = DISTRACTORS_PER_TYPE
     span = d_hi - d_lo + 1
 
     # type A: as bright as the foreground but smooth

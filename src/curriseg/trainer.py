@@ -71,7 +71,7 @@ class PhaseConfig:
     phase3: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=17)
     segmentation: OptimizerConfig = OptimizerConfig(learning_rate=2e-3, epochs=10)
     alpha: float = DEFAULT_ALPHA
-    crop_margin: int = 12
+    crop_margin: int = PredictConfig.margin
     seed: int = 0
 
     def __post_init__(self):
@@ -136,11 +136,18 @@ class RunState:
     theta_seg: ParamVector
     segmentation_cache: CacheModel
     history: tuple[EpochRecord, ...]
-    inits: dict[str, ParamVector] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict)
 
 
 # ------------------------------------------------------- dataset building
+
+
+def _crop_item(it: DatasetItem, box: BBox, margin: int, align: int) -> DatasetItem:
+    """Cut `it`'s image and mask around `box` grown by `margin`."""
+    rec = make_crop_record(it.image.shape, box, margin, align)
+    return DatasetItem(
+        Image(crop_like(it.image.pixels, rec)), Mask(crop_like(it.mask.labels, rec)), rec, it.item_id
+    )
 
 
 def build_d1(raw: DatasetPhase, margin: int, align: int) -> tuple[DatasetPhase, int]:
@@ -156,15 +163,7 @@ def build_d1(raw: DatasetPhase, margin: int, align: int) -> tuple[DatasetPhase, 
         if box is None:
             skipped += 1
             continue
-        rec = make_crop_record(it.image.shape, box, margin, align)
-        items.append(
-            DatasetItem(
-                Image(crop_like(it.image.pixels, rec)),
-                Mask(crop_like(it.mask.labels, rec)),
-                rec,
-                it.item_id,
-            )
-        )
+        items.append(_crop_item(it, box, margin, align))
     if not items:
         raise EmptyDataset("every mask in the raw dataset is empty; cannot build ground-truth crops")
     return DatasetPhase("D1", tuple(items)), skipped
@@ -176,9 +175,9 @@ def build_d2(
     spec: BackboneSpec,
     margin: int,
     align: int,
-    threshold_value: float = 0.5,
 ) -> tuple[DatasetPhase, int, int]:
-    """Crop every item around the detection cache's own prediction.
+    """Crop every item around the detection cache's own prediction,
+    thresholded at the predictor's default crop threshold.
 
     Items whose thresholded prediction is empty fall back to the whole
     image (counted, never fatal); items with empty ground-truth masks are
@@ -193,36 +192,27 @@ def build_d2(
             skipped += 1
             continue
         p = cache_forward(spec, detection_cache, it.image)
-        box = bbox_from_mask(threshold(p, threshold_value))
+        box = bbox_from_mask(threshold(p, PredictConfig.crop_threshold))
         if box is None:
             fallbacks += 1
             h, w = it.image.shape
             box = BBox(0, h - 1, 0, w - 1)
-        rec = make_crop_record(it.image.shape, box, margin, align)
-        items.append(
-            DatasetItem(
-                Image(crop_like(it.image.pixels, rec)),
-                Mask(crop_like(it.mask.labels, rec)),
-                rec,
-                it.item_id,
-            )
-        )
+        items.append(_crop_item(it, box, margin, align))
     return DatasetPhase("D2", tuple(items)), fallbacks, skipped
 
 
 # ------------------------------------------------------------ evaluation
 
 
-def detection_dsc(
-    spec: BackboneSpec, cache: CacheModel, items, threshold_value: float = 0.5
-) -> float:
-    """Mean Dice of the cache's thresholded output over full images."""
+def detection_dsc(spec: BackboneSpec, cache: CacheModel, items) -> float:
+    """Mean Dice of the cache's output over full images, thresholded at
+    the predictor's default crop threshold."""
     items = list(items)
     if not items:
         raise EmptyDataset("detection_dsc needs at least one item")
     total = 0.0
     for it in items:
-        pred = threshold(cache_forward(spec, cache, it.image), threshold_value)
+        pred = threshold(cache_forward(spec, cache, it.image), PredictConfig.crop_threshold)
         total += dsc(pred, it.mask)
     return total / len(items)
 
@@ -368,12 +358,13 @@ class _RunDir:
             cache.params,
             {"stage": name, "alpha": cache.alpha, "updates": cache.updates},
         )
+        (self.out / "history.json").write_text(
+            json.dumps(history_to_json(history), indent=2) + "\n"
+        )
+        # last, so that a stage counts as done only once all of its files are
         self.completed = self.runnable[: self.runnable.index(name) + 1]
         (self.out / "status.json").write_text(
             json.dumps({"completed": self.completed}, indent=2) + "\n"
-        )
-        (self.out / "history.json").write_text(
-            json.dumps(history_to_json(history), indent=2) + "\n"
         )
 
 
@@ -396,8 +387,8 @@ def run_full(
     history log are persisted after every stage; `resume=True` picks a
     previous run back up at stage granularity (same config expected).
     Every image must have sides that are multiples of
-    `spec.input_align`; this is checked before anything is trained or
-    written.
+    `spec.input_align`, and some training mask must be non-empty; both are
+    checked before anything is trained or written.
     """
     active = set(DETECTION_PHASES) if phases is None else {str(p) for p in phases}
     unknown = active - set(DETECTION_PHASES)
@@ -412,13 +403,13 @@ def run_full(
                     f"not a multiple of alignment {a}"
                 )
 
+    stats: dict[str, int] = {}
+    d1, stats["d1_skipped"] = build_d1(raw_train, cfg.crop_margin, spec.input_align)
+    data = {"1": d1, "3": raw_train}
+
     runnable = [f"phase{s}" for s in DETECTION_PHASES if s in active] + ["segmentation"]
     rd = _RunDir(Path(out_dir) if out_dir is not None else None, runnable, resume, cfg.seed)
     history: list[EpochRecord] = []
-    stats: dict[str, int] = {}
-
-    d1, stats["d1_skipped"] = build_d1(raw_train, cfg.crop_margin, spec.input_align)
-    data = {"1": d1, "3": raw_train}
 
     def materialize_d2(det: CacheModel) -> DatasetPhase:
         if rd.out is not None and resume and (rd.out / "d2" / "manifest.json").exists():
@@ -447,11 +438,9 @@ def run_full(
 
     theta = init_params(spec, derive_seed(cfg.seed, 1))
     det = cache_init(theta, cfg.alpha)
-    inits: dict[str, ParamVector] = {}
     finals: dict[str, ParamVector] = {}
     for p in DETECTION_PHASES:
         stage = f"phase{p}"
-        inits[stage] = theta
         if p in active:
             if p == "2":
                 data["2"] = materialize_d2(det)
@@ -463,7 +452,6 @@ def run_full(
     # with phase II skipped, D2 is cut by the cache phase III left behind
     if "2" not in data:
         data["2"] = materialize_d2(det)
-    inits["segmentation"] = det.params
     theta_seg, seg_cache = train("segmentation", d1.items + data["2"].items, det.params, det)
 
     return RunState(
@@ -475,6 +463,5 @@ def run_full(
         theta_seg=theta_seg,
         segmentation_cache=seg_cache,
         history=tuple(history),
-        inits=inits,
         stats=stats,
     )

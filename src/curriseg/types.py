@@ -21,15 +21,16 @@ def _first_bad_index(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(int(v) for v in np.argwhere(bad)[0])
 
 
-def check_image_array(pixels) -> np.ndarray:
-    """Validate and return a float64 copy of a [0,1] intensity array."""
-    arr = np.array(pixels, dtype=np.float64, copy=True)
+def _check_unit_array(values, kind: str, element: str) -> np.ndarray:
+    """Validate and return a float64 copy of a 2D array with values in
+    [0, 1]; errors name the array as `kind` and a value as `element`."""
+    arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"image must be 2D and non-empty, got shape {arr.shape}")
+        raise ShapeMismatch(f"{kind} must be 2D and non-empty, got shape {arr.shape}")
     bad = ~(np.isfinite(arr) & (arr >= 0.0) & (arr <= 1.0))
     if bad.any():
         ij = _first_bad_index(bad)
-        raise ValueOutOfRange(f"image pixel {ij} = {arr[ij]!r} outside [0, 1]")
+        raise ValueOutOfRange(f"{element} {ij} = {arr[ij]!r} outside [0, 1]")
     return arr
 
 
@@ -45,18 +46,6 @@ def check_mask_array(labels) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def check_prob_array(probs) -> np.ndarray:
-    """Validate and return a float64 copy of a [0,1] probability array."""
-    arr = np.array(probs, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"prob map must be 2D and non-empty, got shape {arr.shape}")
-    bad = ~(np.isfinite(arr) & (arr >= 0.0) & (arr <= 1.0))
-    if bad.any():
-        ij = _first_bad_index(bad)
-        raise ValueOutOfRange(f"probability {ij} = {arr[ij]!r} outside [0, 1]")
-    return arr
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -69,7 +58,7 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _freeze(check_image_array(self.pixels)))
+        object.__setattr__(self, "pixels", _freeze(_check_unit_array(self.pixels, "image", "image pixel")))
 
     @property
     def height(self) -> int:
@@ -111,7 +100,7 @@ class ProbMap:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _freeze(check_prob_array(self.probs)))
+        object.__setattr__(self, "probs", _freeze(_check_unit_array(self.probs, "prob map", "probability")))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -47,7 +47,7 @@ from curriseg import (
     generate,
     init_params,
     load_checkpoint,
-    load_dataset,
+    load_phase,
     loss_and_grad,
     loss_bce,
     loss_grad,
@@ -57,7 +57,7 @@ from curriseg import (
     paste_back,
     run_phase,
     save_checkpoint,
-    save_dataset,
+    save_phase,
     gaussian_smooth,
 )
 from curriseg.cli import entry
@@ -208,7 +208,7 @@ def test_criterion_4_geometry_matches_brute_force():
         crop_ok &= np.array_equal(got, want)
 
         probs = ProbMap(np.clip(got, 1e-6, 1 - 1e-6))
-        back = paste_back(probs, rec, fill=0.0)
+        back = paste_back(probs, rec)
         paste_ok &= np.array_equal(
             back.probs[b.row_min : b.row_max + 1, b.col_min : b.col_max + 1], probs.probs
         )
@@ -435,9 +435,9 @@ def test_criterion_10_persistence(tmp_path):
     ckpt_ok = np.array_equal(back.values, values) and meta == {"k": 1}
 
     phase = generate(GenConfig(count=4, height=24, width=24, seed=5))
-    save_dataset(tmp_path / "a", list(phase.items))
-    items, _ = load_dataset(tmp_path / "a")
-    save_dataset(tmp_path / "b", items)
+    save_phase(tmp_path / "a", phase)
+    back, _ = load_phase(tmp_path / "a")
+    save_phase(tmp_path / "b", back)
     tree = lambda root: {
         p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
     }

@@ -168,6 +168,16 @@ def test_train_rejects_unknown_phase(workspace, tmp_path, capsys):
     assert "unknown phase" in capsys.readouterr().err
 
 
+def test_train_bad_data_leaves_no_run_directory(tmp_path, capsys):
+    # 66 is not a multiple of the default backbone's alignment, 4
+    gen(tmp_path / "odd", count=2, size="66x66")
+    run = tmp_path / "run"
+    rc = entry(["train", "--data", str(tmp_path / "odd"), "--val", str(tmp_path / "odd"), "--out", str(run)])
+    assert rc == 1
+    assert "not a multiple of alignment 4" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_train_resume_completes_quickly(workspace, tmp_path):
     run = tmp_path / "res"
     args = [
@@ -199,6 +209,8 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
         ({"trainer": {}}, "trainer"),
         # the optimizer "algorithm" key of older configs
         ({"run": {"phase1": {"algorithm": "adam"}}}, "run.phase1.algorithm"),
+        # the loss epsilons of older configs
+        ({"loss": {"eps_log": 1e-7}}, "loss.eps_log"),
     ]
     for doc, key in cases:
         bad = tmp_path / "bad.json"
@@ -253,7 +265,7 @@ def test_reference_experiment_defaults():
     stages = ("phase1", "phase2", "phase3", "segmentation")
     assert load_config(None) == {
         "backbone": {"depth": 2, "base_channels": 8},
-        "loss": {"eps_log": 1e-7, "eps_div": 1e-7, "kernel": {"sigma": 1.0, "radius": 3}},
+        "loss": {"kernel": {"sigma": 1.0, "radius": 3}},
         "run": {
             **{s: asdict(getattr(reference, s)) for s in stages},
             "alpha": 0.99,
@@ -334,8 +346,8 @@ def test_predict_refinement_traces(workspace, tmp_path):
 
 def test_predict_reads_older_run_directories(workspace, predictions, tmp_path):
     # run_config.json and cache sidecars as written before the cache mode,
-    # d2_fallback, normalize_bce and the optimizer algorithm were removed
-    # and the kernel was nested
+    # d2_fallback, normalize_bce, the optimizer algorithm and the loss
+    # epsilons were removed and the kernel was nested
     run = tmp_path / "old_run"
     shutil.copytree(workspace / "run", run)
     old_stage = {"algorithm": "adam", "learning_rate": 2e-3, "batch_size": 2, "seed": None}
@@ -419,6 +431,23 @@ def test_eval_scores_predictions(workspace, predictions, tmp_path):
     assert doc["count"] == 4
     assert 0.0 <= doc["mean"] <= 1.0
     assert len(doc["per_item"]) == 4
+
+
+def test_eval_reads_truth_masks_named_by_the_manifest(workspace, tmp_path, capsys):
+    truth = tmp_path / "truth"
+    shutil.copytree(workspace / "val", truth)
+    (truth / "masks").rename(truth / "labels")
+    manifest = json.loads((truth / "manifest.json").read_text())
+    for item in manifest["items"]:
+        item["mask"] = item["mask"].replace("masks/", "labels/")
+    (truth / "manifest.json").write_text(json.dumps(manifest))
+    preds = tmp_path / "preds"
+    shutil.copytree(truth / "labels", preds)
+    report = tmp_path / "report.json"
+    rc = entry(["eval", "--pred", str(preds), "--truth", str(truth), "--report", str(report)])
+    assert rc == 0
+    doc = json.loads(report.read_text())
+    assert doc["mean"] == 1.0 and doc["count"] == 4
 
 
 def test_eval_count_mismatch_names_counts(workspace, predictions, tmp_path, capsys):

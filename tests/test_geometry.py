@@ -134,7 +134,7 @@ def test_make_crop_record_validates_args():
 
 def test_paste_back_construction():
     rec = make_crop_record((8, 8), BBox(2, 5, 3, 6), margin=0, align=1)
-    pasted = paste_back(ProbMap(np.ones(rec.out_shape)), rec, 0.0)
+    pasted = paste_back(ProbMap(np.ones(rec.out_shape)), rec)
     expect = np.zeros((8, 8))
     expect[2:6, 3:7] = 1.0
     np.testing.assert_array_equal(pasted.probs, expect)
@@ -151,7 +151,7 @@ def test_crop_paste_round_trip_random():
         c1 = c0 + r.below(w - c0)
         rec = make_crop_record((h, w), BBox(r0, r1, c0, c1), margin=r.below(3), align=1 + r.below(4))
         cut = crop_like(p.probs, rec)
-        pasted = paste_back(ProbMap(cut), rec, 0.0)
+        pasted = paste_back(ProbMap(cut), rec)
         b = rec.box
         np.testing.assert_array_equal(
             pasted.probs[b.row_min : b.row_max + 1, b.col_min : b.col_max + 1],
@@ -165,7 +165,7 @@ def test_crop_paste_round_trip_random():
 def test_paste_back_shape_mismatch():
     rec = make_crop_record((8, 8), BBox(2, 5, 2, 5), margin=0, align=1)  # implies 4x4
     with pytest.raises(ShapeMismatch):
-        paste_back(ProbMap(np.ones((3, 3))), rec, 0.0)
+        paste_back(ProbMap(np.ones((3, 3))), rec)
 
 
 # ----------------------------------------------------------------- kernel

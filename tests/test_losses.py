@@ -10,13 +10,13 @@ from curriseg import (
     ProbMap,
     Rng,
     ShapeMismatch,
-    ValueOutOfRange,
     loss_bce,
     loss_grad,
     loss_iou,
     loss_smoothed,
     loss_total,
 )
+from curriseg.losses import EPS_DIV, EPS_LOG
 
 from conftest import rand_mask, rand_probs
 from test_geometry import _smooth_oracle
@@ -35,7 +35,7 @@ def _iou_oracle(pa, ta, cfg):
             inter += ta[i, j] * pa[i, j]
             tsum += ta[i, j]
             psum += pa[i, j]
-    return 1.0 - inter / (tsum + psum - inter + cfg.eps_div)
+    return 1.0 - inter / (tsum + psum - inter + EPS_DIV)
 
 
 def _bce_oracle(pa, ta, cfg):
@@ -43,7 +43,7 @@ def _bce_oracle(pa, ta, cfg):
     h, w = pa.shape
     for i in range(h):
         for j in range(w):
-            pc = min(max(pa[i, j], cfg.eps_log), 1.0 - cfg.eps_log)
+            pc = min(max(pa[i, j], EPS_LOG), 1.0 - EPS_LOG)
             acc -= ta[i, j] * math.log(pc) + (1.0 - ta[i, j]) * math.log(1.0 - pc)
     return acc
 
@@ -55,8 +55,8 @@ def _smoothed_oracle(pa, ta, cfg):
     h, w = pa.shape
     for i in range(h):
         for j in range(w):
-            acc += (2.0 * th[i, j] * ph[i, j] + cfg.eps_div) / (
-                th[i, j] ** 2 + ph[i, j] ** 2 + cfg.eps_div
+            acc += (2.0 * th[i, j] * ph[i, j] + EPS_DIV) / (
+                th[i, j] ** 2 + ph[i, j] ** 2 + EPS_DIV
             )
     return 1.0 - acc / (h * w)
 
@@ -116,13 +116,6 @@ def test_shape_mismatch_raised():
     for fn in (loss_iou, loss_bce, loss_smoothed, loss_total, loss_grad):
         with pytest.raises(ShapeMismatch):
             fn(p, t, CFG)
-
-
-def test_config_guards():
-    with pytest.raises(ValueOutOfRange):
-        LossConfig(eps_log=0.7)
-    with pytest.raises(ValueOutOfRange):
-        LossConfig(eps_div=0.0)
 
 
 # ----------------------------------------------------- oracle equivalences

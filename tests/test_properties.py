@@ -114,7 +114,7 @@ def test_crop_record_covers_box_and_aligns(seed, h, w, margin, align):
     assert rec.box.col_min <= c0 and rec.box.col_max >= c1
     # crop/paste round trip restores the clipped window, zero elsewhere
     x = arr(seed ^ 0x99, h * w).reshape(h, w)
-    back = paste_back(ProbMap(np.clip(crop_like(x, rec), 1e-9, 1 - 1e-9)), rec, fill=0.0)
+    back = paste_back(ProbMap(np.clip(crop_like(x, rec), 1e-9, 1 - 1e-9)), rec)
     rm, rM = rec.box.row_min, rec.box.row_max
     cm, cM = rec.box.col_min, rec.box.col_max
     np.testing.assert_allclose(

@@ -24,13 +24,11 @@ from curriseg import (
     init_params,
     BackboneSpec,
     load_checkpoint,
-    load_dataset,
     load_image,
     load_mask,
     load_phase,
     read_pgm,
     save_checkpoint,
-    save_dataset,
     save_image,
     save_mask,
     save_phase,
@@ -99,10 +97,10 @@ def test_mask_round_trip_and_strictness(tmp_path):
 
 def test_dataset_round_trip(tmp_path):
     phase = generate(GenConfig(count=5, height=32, width=32, seed=6))
-    save_dataset(tmp_path / "d", list(phase.items))
-    items, meta = load_dataset(tmp_path / "d")
-    assert len(items) == 5
-    for a, b in zip(items, phase.items):
+    save_phase(tmp_path / "d", phase)
+    back, meta = load_phase(tmp_path / "d")
+    assert len(back.items) == 5
+    for a, b in zip(back.items, phase.items):
         np.testing.assert_array_equal(a.image.pixels, b.image.pixels)
         np.testing.assert_array_equal(a.mask.labels, b.mask.labels)
         assert a.item_id == b.item_id
@@ -112,9 +110,9 @@ def test_dataset_preserves_crop_records(tmp_path):
     img = Image(np.full((6, 8), 0.5))
     msk = Mask(np.zeros((6, 8), dtype=np.uint8))
     rec = CropRecord((16, 16), BBox(2, 6, 3, 9), pad=(0, 1, 0, 1))
-    save_dataset(tmp_path / "d", [DatasetItem(img, msk, crop=rec, item_id="a")])
-    items, _ = load_dataset(tmp_path / "d")
-    assert items[0].crop == rec
+    save_phase(tmp_path / "d", DatasetPhase("D1", (DatasetItem(img, msk, crop=rec, item_id="a"),)))
+    back, _ = load_phase(tmp_path / "d")
+    assert back.items[0].crop == rec
 
 
 def test_phase_round_trip(tmp_path):
@@ -127,17 +125,17 @@ def test_phase_round_trip(tmp_path):
 
 def test_manifest_errors(tmp_path):
     with pytest.raises(MissingFile):
-        load_dataset(tmp_path / "nothing")
+        load_phase(tmp_path / "nothing")
 
     d = tmp_path / "bad"
     d.mkdir()
     (d / "manifest.json").write_text("{not json")
     with pytest.raises(CorruptManifest):
-        load_dataset(d)
+        load_phase(d)
 
     (d / "manifest.json").write_text(json.dumps({"items": "nope"}))
     with pytest.raises(CorruptManifest):
-        load_dataset(d)
+        load_phase(d)
 
 
 def test_manifest_missing_raster_named(tmp_path):
@@ -146,7 +144,7 @@ def test_manifest_missing_raster_named(tmp_path):
     manifest = {"meta": {}, "items": [{"id": "a", "image": "images/a.pgm", "mask": "masks/a.pgm"}]}
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(MissingFile) as exc:
-        load_dataset(d)
+        load_phase(d)
     assert "a.pgm" in str(exc.value)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from curriseg import (
     save_checkpoint,
     threshold,
 )
+from curriseg.backbone import layout_for
 from curriseg.rng import derive_seed
 from curriseg.trainer import (
     history_from_json,
@@ -157,11 +159,14 @@ def test_build_d2_crops_follow_cache_predictions():
 
 def test_build_d2_fallback_counts_whole_image():
     raw = raw_phase()
-    cache = cache_init(init_params(TINY, 21), 0.9)
-    # a threshold no sigmoid output of an untrained net can clear
-    d2, fallbacks, skipped = build_d2(
-        raw, cache, TINY, margin=3, align=TINY.input_align, threshold_value=0.999999
-    )
+    theta = init_params(TINY, 21)
+    values = theta.values.copy()
+    # a head bias this far negative keeps every output pixel below 0.5
+    layout_for(TINY).unpack(values)["head_b"][:] = -50.0
+    cache = cache_init(ParamVector(values, theta.layout_id), 0.9)
+    for it in raw.items:
+        assert threshold(cache_forward(TINY, cache, it.image), 0.5).is_empty()
+    d2, fallbacks, skipped = build_d2(raw, cache, TINY, margin=3, align=TINY.input_align)
     assert fallbacks == len(raw.items)
     for src, out in zip(raw.items, d2.items):
         assert out.image.shape == src.image.shape  # 24 is already aligned
@@ -263,16 +268,26 @@ def test_segmentation_leaves_detection_cache_alone():
     assert fresh.updates == 0
 
 
+def assert_same_weights(a, b):
+    np.testing.assert_array_equal(a.values, b.values)
+
+
 def test_inheritance_chain_weights_flow():
     raw = raw_phase()
     cfg = tiny_cfg()
     rs = run_full(raw, None, cfg, TINY)
-    np.testing.assert_array_equal(
-        rs.inits["phase1"].values, init_params(TINY, derive_seed(cfg.seed, 1)).values
-    )
-    np.testing.assert_array_equal(rs.inits["phase2"].values, rs.theta_1.values)
-    np.testing.assert_array_equal(rs.inits["phase3"].values, rs.theta_2.values)
-    np.testing.assert_array_equal(rs.inits["segmentation"].values, rs.detection_cache.params.values)
+    # each stage by hand, from the previous stage's weights and cache
+    d1, theta1, det = trained_phase1(raw, cfg)
+    d2, _, _ = build_d2(raw, det, TINY, cfg.crop_margin, TINY.input_align)
+    theta2, det, _ = run_phase("phase2", d2.items, theta1, det, cfg, TINY)
+    theta3, det, _ = run_phase("phase3", raw.items, theta2, det, cfg, TINY)
+    theta_seg, seg, _ = run_phase("segmentation", d1.items + d2.items, det.params, det, cfg, TINY)
+    assert_same_weights(rs.theta_1, theta1)
+    assert_same_weights(rs.theta_2, theta2)
+    assert_same_weights(rs.theta_3, theta3)
+    assert_same_weights(rs.detection_cache.params, det.params)
+    assert_same_weights(rs.theta_seg, theta_seg)
+    assert_same_weights(rs.segmentation_cache.params, seg.params)
     assert not np.array_equal(rs.theta_1.values, rs.theta_2.values)
 
 
@@ -282,9 +297,21 @@ def test_skipped_phases_pass_weights_through():
     assert rs.theta_2 is rs.theta_1 and rs.theta_3 is rs.theta_2
     assert {r.phase for r in rs.history} == {"I", "seg"}
 
-    rs3 = run_full(raw, None, tiny_cfg(), TINY, phases=["3"])
-    np.testing.assert_array_equal(rs3.inits["phase3"].values, rs3.inits["phase1"].values)
+    cfg = tiny_cfg()
+    rs3 = run_full(raw, None, cfg, TINY, phases=["3"])
     assert {r.phase for r in rs3.history} == {"III", "seg"}
+    # phase III starts from the initial weights and cache; D2 is cut by
+    # the cache phase III leaves behind
+    theta0, det = start(cfg)
+    theta3, det, _ = run_phase("phase3", raw.items, theta0, det, cfg, TINY)
+    d1, _ = build_d1(raw, cfg.crop_margin, TINY.input_align)
+    d2, _, _ = build_d2(raw, det, TINY, cfg.crop_margin, TINY.input_align)
+    theta_seg, _, _ = run_phase("segmentation", d1.items + d2.items, det.params, det, cfg, TINY)
+    assert_same_weights(rs3.theta_1, theta0)
+    assert_same_weights(rs3.theta_2, theta0)
+    assert_same_weights(rs3.theta_3, theta3)
+    assert_same_weights(rs3.detection_cache.params, det.params)
+    assert_same_weights(rs3.theta_seg, theta_seg)
 
 
 def test_unknown_phase_rejected():
@@ -301,6 +328,20 @@ def test_unaligned_input_fails_before_anything_is_written(tmp_path):
         with pytest.raises(AlignmentError):
             run_full(train, val, tiny_cfg(), spec, out_dir=out)
         assert not out.exists()
+
+
+def test_all_empty_masks_fail_before_anything_is_written(tmp_path):
+    empty = DatasetPhase(
+        "D3",
+        tuple(
+            DatasetItem(it.image, Mask(np.zeros(it.mask.shape, np.uint8)), None, it.item_id)
+            for it in raw_phase().items
+        ),
+    )
+    out = tmp_path / "run"
+    with pytest.raises(EmptyDataset):
+        run_full(empty, None, tiny_cfg(), TINY, out_dir=out)
+    assert not out.exists()
 
 
 def test_run_full_deterministic():
@@ -440,6 +481,30 @@ def test_resume_after_phase2_continues_from_checkpoints(tmp_path):
         "phase3",
         "segmentation",
     ]
+
+
+def test_resume_after_crash_before_history_write(tmp_path, monkeypatch):
+    raw = raw_phase()
+    cfg = tiny_cfg(segmentation=OptimizerConfig(epochs=2, batch_size=2, seed=14))
+    straight = run_full(raw, None, cfg, TINY)
+    out = tmp_path / "run"
+    write_text = Path.write_text
+
+    def crash_on_seg_history(path, text, *args, **kwargs):
+        if path.name == "history.json" and '"seg"' in text:
+            raise OSError("crashed before the segmentation history was written")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", crash_on_seg_history)
+    with pytest.raises(OSError):
+        run_full(raw, None, cfg, TINY, out_dir=out)
+    monkeypatch.undo()
+
+    rs = run_full(raw, None, cfg, TINY, out_dir=out, resume=True)
+    want = [(r.phase, r.epoch) for r in straight.history]
+    assert [(r.phase, r.epoch) for r in rs.history] == want
+    on_disk = history_from_json(json.loads((out / "history.json").read_text()))
+    assert [(r.phase, r.epoch) for r in on_disk] == want
 
 
 def test_fresh_run_ignores_stale_status(tmp_path):
