@@ -13,7 +13,6 @@ fully-resolved config is echoed into the run directory so later
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
@@ -23,7 +22,7 @@ from .errors import CorruptManifest, CurrisegError, LengthMismatch
 from .evaluation import evaluate_set
 from .losses import LossConfig
 from .predictor import PredictConfig, predict
-from .storage import load_mask, load_phase, save_mask, save_phase
+from .storage import load_mask, load_phase, read_json, save_mask, save_phase, write_json
 from .svg import line_chart
 from .synthdata import GenConfig, generate
 from .trainer import STAGES, PhaseConfig, history_from_json, load_cache, run_full
@@ -90,15 +89,9 @@ def load_config(path: str | None) -> dict:
 
     Returns the fully resolved document, per-stage seeds included.
     """
-    user: dict = {}
-    if path is not None:
-        text = Path(path).read_text()
-        try:
-            user = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CorruptManifest(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(user, dict):
-            raise CorruptManifest(f"{path}: config must be a JSON object")
+    user = {} if path is None else read_json(path)
+    if not isinstance(user, dict):
+        raise CorruptManifest(f"{path}: config must be a JSON object")
     return {name: _tree(obj) for name, obj in _resolve(user, SECTIONS).items()}
 
 
@@ -127,7 +120,7 @@ def _by_stage(history) -> list[tuple[str, str, list]]:
     """(stage name, history label, its records) for every stage that has
     records, in curriculum order."""
     out = []
-    for name, (label, _) in STAGES.items():
+    for name, (label, _, _) in STAGES.items():
         recs = [r for r in history if r.phase == label]
         if recs:
             out.append((name, label, recs))
@@ -176,9 +169,7 @@ def cmd_train(args) -> int:
         resume=args.resume,
     )
     # written only once run_full has checked the data and made the directory
-    echo = dict(cfg)
-    echo["ablate_phases"] = ablated
-    (run_dir / "run_config.json").write_text(json.dumps(echo, indent=2) + "\n")
+    write_json(run_dir / "run_config.json", {**cfg, "ablate_phases": ablated})
     _write_stage_logs(run_dir, state.history)
 
     for _, label, recs in _by_stage(state.history):
@@ -198,7 +189,9 @@ def cmd_predict(args) -> int:
     # from another version of the config schema
     sections = {k: SECTIONS[k] for k in ("backbone", "predict")}
     cfg_path = run_dir / "run_config.json"
-    base = json.loads(cfg_path.read_text()) if cfg_path.exists() else {}
+    base = read_json(cfg_path) if cfg_path.exists() else {}
+    if not isinstance(base, dict):
+        raise CorruptManifest(f"{cfg_path}: config must be a JSON object")
     cfg = _resolve({k: base[k] for k in sections if k in base}, sections)
     spec, pcfg = cfg["backbone"], cfg["predict"]
     overrides = {"d_t": args.dt, "max_iters": args.max_iters}
@@ -214,7 +207,7 @@ def cmd_predict(args) -> int:
         item_id = item.item_id or f"img_{i:05d}"
         mask, _, trace = predict(item.image, det, seg, spec, pcfg)
         save_mask(out / f"{item_id}.pgm", mask)
-        (out / f"{item_id}.trace.json").write_text(json.dumps(trace.as_dict(), indent=2) + "\n")
+        write_json(out / f"{item_id}.trace.json", trace.as_dict())
     print(f"wrote {len(phase.items)} masks to {out}")
     return 0
 
@@ -242,19 +235,14 @@ def cmd_eval(args) -> int:
     preds = [pred_masks[i] for i in ids]
     refs = [truth_masks[i] for i in ids]
     report = evaluate_set(preds, refs, ids=ids)
-    doc = {"version": 1}
-    doc.update(report.as_dict())
-    Path(args.report).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(args.report, {"version": 1, **report.as_dict()})
     print(f"mean_dsc={report.mean:.4f} std={report.std:.4f} count={report.count}")
     return 0
 
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    hist_path = run_dir / "history.json"
-    if not hist_path.exists():
-        raise CorruptManifest(f"no history.json in {run_dir}")
-    history = history_from_json(json.loads(hist_path.read_text()))
+    history = history_from_json(read_json(run_dir / "history.json"))
     plots = Path(args.plots)
     plots.mkdir(parents=True, exist_ok=True)
 

@@ -21,7 +21,7 @@ Derived conventions, all part of the on-disk reproducibility contract:
   ``r = sqrt(-2 ln(1 - u1))``, ``z0 = r cos(2 pi u2)``, ``z1 = r sin(2 pi u2)``,
   emitted in that order.
 * ``below(n)``: ``next_u64() mod n`` (n is tiny everywhere we use it).
-* ``permutation``: backward Fisher-Yates, ``j = below(i + 1)`` for
+* ``shuffle``: backward Fisher-Yates, ``j = below(i + 1)`` for
   i = n-1 .. 1.
 * substreams: ``derive_seed(seed, i)`` is output i+1 of the stream seeded
   with ``seed``, i.e. ``mix64(seed + (i + 1) * GOLDEN)``.
@@ -109,9 +109,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        """Backward Fisher-Yates shuffle of range(n)."""
-        items = list(range(n))
-        self.shuffle(items)
-        return items

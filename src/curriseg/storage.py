@@ -1,5 +1,9 @@
-"""On-disk formats: 8-bit PGM rasters, JSON dataset manifests, and flat
-float32 weight checkpoints.
+"""On-disk formats: 8-bit PGM rasters, JSON artifacts and flat float32
+weight checkpoints.
+
+JSON artifacts go through `write_json` (two-space indent, final newline) and
+`read_json`. They and checkpoints go to ``.<name>.tmp`` and are renamed onto
+the target, so a process dying mid-write leaves the previous file whole.
 
 Raster files are binary PGM (magic ``P5``) with maxval 255. Images map
 [0, 1] <-> 0..255 by rounding; masks map {0, 1} <-> {0, 255} exactly.
@@ -22,6 +26,7 @@ count (little-endian) + that many little-endian float32 values, plus a
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from pathlib import Path
@@ -41,6 +46,30 @@ from .types import PHASE_IDS, BBox, CropRecord, DatasetItem, DatasetPhase, Image
 
 CHECKPOINT_MAGIC = b"CKSM"
 CHECKPOINT_VERSION = 1
+
+
+# --------------------------------------------------------------- JSON
+
+
+def _replace(path: Path, data: str | bytes) -> None:
+    tmp = path.with_name(f".{path.name}.tmp")
+    (tmp.write_bytes if isinstance(data, bytes) else tmp.write_text)(data)
+    os.replace(tmp, path)
+
+
+def write_json(path, doc) -> None:
+    _replace(Path(path), json.dumps(doc, indent=2) + "\n")
+
+
+def read_json(path):
+    """Any JSON value; `MissingFile` if absent, `CorruptManifest` if not JSON."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise MissingFile(f"no such file: {path}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptManifest(f"{path}: invalid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------- PGM
@@ -158,7 +187,7 @@ def save_phase(out_dir, phase: DatasetPhase, meta: dict | None = None) -> Path:
         entries.append(entry)
     manifest = {"meta": {**(meta or {}), "phase_id": phase.phase_id}, "items": entries}
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(path, manifest)
     return path
 
 
@@ -166,14 +195,7 @@ def load_phase(in_dir) -> tuple[DatasetPhase, dict]:
     """Read a dataset directory; a manifest without a phase id is raw (D3)."""
     root = Path(in_dir)
     path = root / "manifest.json"
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise MissingFile(f"no manifest.json in {root}") from None
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptManifest(f"{path}: invalid JSON: {exc}") from None
+    manifest = read_json(path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("items"), list):
         raise CorruptManifest(f"{path}: expected an object with an 'items' list")
 
@@ -202,9 +224,10 @@ def save_checkpoint(path, params: ParamVector, meta: dict | None = None) -> None
     vals = params.values.astype("<f4")
     blob = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
     blob += struct.pack("<Q", vals.size) + vals.tobytes()
-    path.write_bytes(blob)
+    # sidecar first: a crash between the two leaves it naming the newer writer
     sidecar = {"layout_id": params.layout_id, "meta": meta or {}}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_json(path.with_suffix(path.suffix + ".json"), sidecar)
+    _replace(path, blob)
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
@@ -227,12 +250,7 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
     values = np.frombuffer(body, dtype="<f4").astype(np.float64)
 
     side_path = path.with_suffix(path.suffix + ".json")
-    try:
-        side = json.loads(side_path.read_text())
-    except FileNotFoundError:
-        raise MissingFile(f"missing checkpoint sidecar: {side_path}") from None
-    except json.JSONDecodeError as exc:
-        raise CorruptManifest(f"{side_path}: invalid JSON: {exc}") from None
+    side = read_json(side_path)
     if not isinstance(side, dict) or not isinstance(side.get("layout_id"), str):
         raise CorruptManifest(f"{side_path}: expected an object with a 'layout_id' string")
     layout_id = side["layout_id"]

@@ -21,7 +21,6 @@ stage's optimizer seed and the stage ordinal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .geometry import bbox_from_mask, crop_like, make_crop_record, threshold
 from .losses import LossConfig
 from .predictor import PredictConfig, predict
 from .rng import Rng, derive_seed
-from .storage import load_checkpoint, load_phase, save_checkpoint, save_phase
+from .storage import load_checkpoint, load_phase, read_json, save_checkpoint, save_phase, write_json
 from .types import (
     BBox,
     DatasetItem,
@@ -48,12 +47,12 @@ from .types import (
 DETECTION_PHASES = ("1", "2", "3")
 
 # Stage name (its PhaseConfig field and its checkpoint and log file stem)
-# -> (history label, seed ordinal).
+# -> (history label, seed ordinal, stem of the cache checkpoint it rewrites).
 STAGES = {
-    "phase1": ("I", 1),
-    "phase2": ("II", 2),
-    "phase3": ("III", 3),
-    "segmentation": ("seg", 4),
+    "phase1": ("I", 1, "detection_cache"),
+    "phase2": ("II", 2, "detection_cache"),
+    "phase3": ("III", 3, "detection_cache"),
+    "segmentation": ("seg", 4, "segmentation_cache"),
 }
 
 
@@ -78,7 +77,7 @@ class PhaseConfig:
         if self.crop_margin < 0:
             raise ValueOutOfRange(f"crop_margin must be >= 0, got {self.crop_margin}")
         # alpha gets its real validation from CacheModel
-        for name, (_, ordinal) in STAGES.items():
+        for name, (_, ordinal, _) in STAGES.items():
             opt = getattr(self, name)
             if opt.seed is None:
                 object.__setattr__(self, name, replace(opt, seed=derive_seed(self.seed, 100 + ordinal)))
@@ -259,7 +258,7 @@ def run_phase(
     """
     if stage not in STAGES:
         raise ValueOutOfRange(f"unknown stage {stage!r}; valid: {tuple(STAGES)}")
-    label, ordinal = STAGES[stage]
+    label, ordinal, _ = STAGES[stage]
     opt = getattr(cfg, stage)
     pairs = [(it.image, it.mask) for it in data]
     if opt.epochs and not pairs:
@@ -330,42 +329,49 @@ class _RunDir:
         out.mkdir(parents=True, exist_ok=True)
         status = out / "status.json"
         if resume and status.exists():
-            done = json.loads(status.read_text()).get("completed", [])
+            doc = read_json(status)
+            done = doc.get("completed") if isinstance(doc, dict) else None
+            if not isinstance(done, list):
+                raise CorruptManifest(f"{status}: expected an object with a 'completed' list")
             # only a prefix of this run's stage sequence is trustworthy
             for name in runnable:
                 if name in done:
                     self.completed.append(name)
                 else:
                     break
+            # a crash inside mark_done can leave a cache one stage ahead
+            for cache_file, stage in {STAGES[n][2]: n for n in self.completed}.items():
+                got = load_checkpoint(out / f"{cache_file}.ckpt")[1].get("stage")
+                if got != stage:
+                    raise CorruptManifest(
+                        f"{out}: status.json lists {stage} as the last stage to write {cache_file}.ckpt, "
+                        f"but {got} wrote it; the run directory is torn, rerun without --resume"
+                    )
             if (out / "history.json").exists():
-                self.prior = history_from_json(json.loads((out / "history.json").read_text()))
+                self.prior = history_from_json(read_json(out / "history.json"))
         else:
-            status.write_text(json.dumps({"completed": []}, indent=2) + "\n")
+            write_json(status, {"completed": []})
 
     def resumable(self, name: str) -> bool:
         return name in self.completed
 
-    def load(self, name: str, cache_file: str) -> tuple[ParamVector, CacheModel]:
+    def load(self, name: str) -> tuple[ParamVector, CacheModel]:
         theta, _ = load_checkpoint(self.out / f"{name}.ckpt")
-        return theta, load_cache(self.out / f"{cache_file}.ckpt")
+        return theta, load_cache(self.out / f"{STAGES[name][2]}.ckpt")
 
-    def mark_done(self, name: str, theta: ParamVector, cache: CacheModel, cache_file: str, history):
+    def mark_done(self, name: str, theta: ParamVector, cache: CacheModel, history):
         if self.out is None:
             return
         save_checkpoint(self.out / f"{name}.ckpt", theta, {"stage": name, "seed": self.seed})
         save_checkpoint(
-            self.out / f"{cache_file}.ckpt",
+            self.out / f"{STAGES[name][2]}.ckpt",
             cache.params,
             {"stage": name, "alpha": cache.alpha, "updates": cache.updates},
         )
-        (self.out / "history.json").write_text(
-            json.dumps(history_to_json(history), indent=2) + "\n"
-        )
+        write_json(self.out / "history.json", history_to_json(history))
         # last, so that a stage counts as done only once all of its files are
         self.completed = self.runnable[: self.runnable.index(name) + 1]
-        (self.out / "status.json").write_text(
-            json.dumps({"completed": self.completed}, indent=2) + "\n"
-        )
+        write_json(self.out / "status.json", {"completed": self.completed})
 
 
 def run_full(
@@ -427,13 +433,12 @@ def run_full(
 
     def train(stage: str, items, theta: ParamVector, cache: CacheModel):
         """Run one stage and persist it, or reload it when it is resumable."""
-        cache_file = "segmentation_cache" if stage == "segmentation" else "detection_cache"
         if rd.resumable(stage):
             history.extend(r for r in rd.prior if r.phase == STAGES[stage][0])
-            return rd.load(stage, cache_file)
+            return rd.load(stage)
         theta, cache, recs = run_phase(stage, items, theta, cache, cfg, spec, loss_cfg, raw_val)
         history.extend(recs)
-        rd.mark_done(stage, theta, cache, cache_file, history)
+        rd.mark_done(stage, theta, cache, history)
         return theta, cache
 
     theta = init_params(spec, derive_seed(cfg.seed, 1))

@@ -86,9 +86,6 @@ class Mask:
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
-    def foreground_count(self) -> int:
-        return int(self.labels.sum())
-
     def is_empty(self) -> bool:
         return not self.labels.any()
 
@@ -217,9 +214,6 @@ class DatasetPhase:
             for i, item in enumerate(self.items):
                 if item.crop is not None:
                     raise ValueOutOfRange(f"raw-phase item {i} must not carry a crop record")
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 @dataclass(frozen=True)

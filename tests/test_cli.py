@@ -187,7 +187,9 @@ def test_train_resume_completes_quickly(workspace, tmp_path):
         "--out", str(run),
         "--config", str(workspace / "config.json"),
     ]
-    assert entry(args) == 0
+    # a run stopped after phase II: its files are those of a run without
+    # phase III, whose detection cache ends at phase II
+    assert entry(args + ["--ablate-phases", "3"]) == 0
     status = run / "status.json"
     status.write_text(json.dumps({"completed": ["phase1", "phase2"]}) + "\n")
     assert entry(args + ["--resume"]) == 0
@@ -493,6 +495,38 @@ def test_report_requires_history(tmp_path, capsys):
     rc = entry(["report", "--run", str(tmp_path), "--plots", str(tmp_path / "p")])
     assert rc == 1
     assert "history.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("report", "history.json", '{"version": 1, "entries": [{"phase"'),
+        ("predict", "run_config.json", '{"backbone": {"depth": 1,'),
+        ("resume", "status.json", '{"completed": ["phase1", "pha'),
+        ("resume", "status.json", '["phase1", "phase2"]'),
+    ],
+)
+def test_bad_run_file_fails_cleanly(workspace, tmp_path, capsys, command, name, text):
+    run = tmp_path / "run"
+    shutil.copytree(workspace / "run", run)
+    (run / name).write_text(text)
+    argv = {
+        "report": ["report", "--run", str(run), "--plots", str(tmp_path / "plots")],
+        "predict": ["predict", "--run", str(run), "--input", str(workspace / "val"), "--out", str(tmp_path / "p")],
+        "resume": [
+            "train",
+            "--data", str(workspace / "train"),
+            "--val", str(workspace / "val"),
+            "--out", str(run),
+            "--config", str(workspace / "config.json"),
+            "--resume",
+        ],
+    }[command]
+    # returning at all means no exception, so no traceback, escaped entry()
+    assert entry(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------ usage

@@ -27,7 +27,7 @@ from conftest import rand_mask, rand_probs
 
 def test_threshold_is_strict():
     p = ProbMap(np.full((3, 3), 0.5))
-    assert threshold(p, 0.5).foreground_count() == 0
+    assert threshold(p, 0.5).labels.sum() == 0
     assert np.array_equal(threshold(ProbMap(np.array([[0.6, 0.4]])), 0.5).labels, [[1, 0]])
 
 

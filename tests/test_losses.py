@@ -208,7 +208,8 @@ def test_value_ranges():
 def test_permutation_equivariance_iou_bce():
     # pixel order can only move these losses by summation round-off
     p, t = rand_probs(5, 6, 6), rand_mask(6, 6, 6)
-    perm = Rng(9).permutation(36)
+    perm = list(range(36))
+    Rng(9).shuffle(perm)
     pp = ProbMap(p.probs.ravel()[perm].reshape(6, 6))
     tp = Mask(t.labels.ravel()[perm].reshape(6, 6))
     assert math.isclose(loss_iou(pp, tp, CFG), loss_iou(p, t, CFG), rel_tol=1e-12)

@@ -93,10 +93,3 @@ def test_shuffle_is_backward_fisher_yates():
         j = r.next_u64() % (i + 1)
         expect[i], expect[j] = expect[j], expect[i]
     assert items == expect
-
-
-def test_permutation_properties():
-    p = Rng(4).permutation(50)
-    assert sorted(p) == list(range(50))
-    assert p == Rng(4).permutation(50)
-    assert p != Rng(5).permutation(50)

@@ -34,6 +34,7 @@ from curriseg import (
     save_phase,
     write_pgm,
 )
+from curriseg.storage import read_json, write_json
 
 # -------------------------------------------------------------------- PGM
 
@@ -154,6 +155,22 @@ def test_phase_rejects_unknown_id(tmp_path):
     (d / "manifest.json").write_text(json.dumps({"meta": {"phase_id": "D7"}, "items": []}))
     with pytest.raises(CorruptManifest):
         load_phase(d)
+
+
+def test_json_artifact_round_trip_and_errors(tmp_path):
+    doc = {"b": [1, 2.5, None], "a": "x"}
+    p = tmp_path / "doc.json"
+    write_json(p, doc)
+    assert p.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert read_json(p) == doc
+    assert [f.name for f in tmp_path.iterdir()] == ["doc.json"]  # no temp file left
+
+    with pytest.raises(MissingFile):
+        read_json(tmp_path / "none.json")
+    for bad in (b'{"a": [1,', b"\xff\xfe{"):
+        p.write_bytes(bad)
+        with pytest.raises(CorruptManifest):
+            read_json(p)
 
 
 # --------------------------------------------------------------- checkpoints

@@ -73,7 +73,7 @@ def test_foreground_ratio_in_range():
     lo, hi = cfg.fg_ratio_range
     phase = generate(cfg)
     for item in phase.items:
-        ratio = item.mask.foreground_count() / (cfg.height * cfg.width)
+        ratio = item.mask.labels.sum() / (cfg.height * cfg.width)
         assert lo <= ratio <= hi
 
 

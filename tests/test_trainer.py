@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -442,7 +443,8 @@ def test_resume_completed_run_reloads_everything(tmp_path):
 def test_resume_reruns_unfinished_suffix(tmp_path):
     raw = raw_phase()
     out = tmp_path / "run"
-    run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
+    # a run stopped after phase I: its detection cache ends at phase I
+    run_full(raw, None, tiny_cfg(), TINY, out_dir=out, phases=["1"])
     status = out / "status.json"
     status.write_text(json.dumps({"completed": ["phase1"]}, indent=2) + "\n")
     rs = run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
@@ -488,14 +490,14 @@ def test_resume_after_crash_before_history_write(tmp_path, monkeypatch):
     cfg = tiny_cfg(segmentation=OptimizerConfig(epochs=2, batch_size=2, seed=14))
     straight = run_full(raw, None, cfg, TINY)
     out = tmp_path / "run"
-    write_text = Path.write_text
+    replace = os.replace
 
-    def crash_on_seg_history(path, text, *args, **kwargs):
-        if path.name == "history.json" and '"seg"' in text:
+    def crash_on_seg_history(src, dst):
+        if Path(dst).name == "history.json" and '"seg"' in Path(src).read_text():
             raise OSError("crashed before the segmentation history was written")
-        return write_text(path, text, *args, **kwargs)
+        return replace(src, dst)
 
-    monkeypatch.setattr(Path, "write_text", crash_on_seg_history)
+    monkeypatch.setattr(os, "replace", crash_on_seg_history)
     with pytest.raises(OSError):
         run_full(raw, None, cfg, TINY, out_dir=out)
     monkeypatch.undo()
@@ -505,6 +507,60 @@ def test_resume_after_crash_before_history_write(tmp_path, monkeypatch):
     assert [(r.phase, r.epoch) for r in rs.history] == want
     on_disk = history_from_json(json.loads((out / "history.json").read_text()))
     assert [(r.phase, r.epoch) for r in on_disk] == want
+
+
+def test_torn_status_write_leaves_previous_status(tmp_path, monkeypatch):
+    raw = raw_phase()
+    straight = run_full(raw, None, tiny_cfg(), TINY)
+    out = tmp_path / "run"
+    status = out / "status.json"
+    write_text = Path.write_text
+
+    def tear_seg_status(path, text, *args, **kwargs):
+        if "status.json" in path.name and '"segmentation"' in text:
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("crashed halfway through the status write")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", tear_seg_status)
+    with pytest.raises(OSError):
+        run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
+    monkeypatch.undo()
+
+    assert json.loads(status.read_text())["completed"] == ["phase1", "phase2", "phase3"]
+    rs = run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
+    assert [(r.phase, r.epoch) for r in rs.history] == [(r.phase, r.epoch) for r in straight.history]
+    assert json.loads(status.read_text())["completed"][-1] == "segmentation"
+
+
+def test_resume_refuses_cache_rewritten_after_status(tmp_path):
+    raw = raw_phase()
+    out = tmp_path / "run"
+    run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
+    # a finished run whose status is set back: the cache is phase III's
+    (out / "status.json").write_text(json.dumps({"completed": ["phase1", "phase2"]}) + "\n")
+    with pytest.raises(CorruptManifest, match="phase2.*phase3.*without --resume"):
+        run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
+
+
+def test_resume_refuses_cache_torn_between_sidecar_and_blob(tmp_path, monkeypatch):
+    raw = raw_phase()
+    out = tmp_path / "run"
+    replace = os.replace
+
+    def crash_on_phase3_cache_blob(src, dst):
+        if Path(dst).name == "detection_cache.ckpt" and (out / "phase3.ckpt").exists():
+            raise OSError("crashed between the cache sidecar and its weights")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_phase3_cache_blob)
+    with pytest.raises(OSError):
+        run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
+    monkeypatch.undo()
+
+    assert json.loads((out / "status.json").read_text())["completed"] == ["phase1", "phase2"]
+    with pytest.raises(CorruptManifest, match="phase2.*phase3"):
+        run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
 
 
 def test_fresh_run_ignores_stale_status(tmp_path):
