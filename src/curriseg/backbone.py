@@ -12,12 +12,11 @@ Architecture, fixed by (depth, base_channels):
       with the skip, 3x3 conv + ReLU back to base*2^i channels;
   head: 1x1 conv to a single channel, sigmoid.
 
-All math is float64. Parameters live in a flat vector with a fixed,
-documented ordering (see `param_defs`), which makes EMA averaging and
+The network is written down once, as the op list of `_network`. The
+parameter layout, the forward pass and the backward pass all walk it.
+All math is float64. Parameters live in a flat vector, one weight and one
+bias block per conv op in op order, which makes EMA averaging and
 checkpointing trivial. Everything is deterministic given (spec, seed).
-
-The backbone is a pluggable contract: anything providing init_params /
-forward / train_step against the same value types can stand in for it.
 """
 
 from __future__ import annotations
@@ -75,19 +74,22 @@ class OptimizerConfig:
             raise ValueOutOfRange(f"epochs must be >= 0, got {self.epochs}")
 
 
-def param_defs(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
-    """Ordered (name, shape) parameter table; the flat vector follows it."""
-    defs: list[tuple[str, tuple[int, ...]]] = []
+def _network(spec: BackboneSpec) -> list[tuple]:
+    """The network as an op list, input to logits. Ops are
+    ("conv", block name, weight shape, relu), ("pool", level), whose input
+    is that level's skip, ("up",), and ("cat", level), which appends that
+    level's skip along the channels."""
+    ops: list[tuple] = []
 
-    def conv(name: str, out_c: int, in_c: int, k: int = 3) -> None:
-        defs.append((f"{name}_w", (out_c, in_c, k, k)))
-        defs.append((f"{name}_b", (out_c,)))
+    def conv(name: str, out_c: int, in_c: int, k: int = 3, relu: bool = True) -> None:
+        ops.append(("conv", name, (out_c, in_c, k, k), relu))
 
     c_in = 1
     for i in range(spec.depth):
         c = spec.base_channels * (2**i)
         conv(f"enc{i}a", c, c_in)
         conv(f"enc{i}b", c, c)
+        ops.append(("pool", i))
         c_in = c
     c = spec.base_channels * (2**spec.depth)
     conv("mid_a", c, c_in)
@@ -95,36 +97,39 @@ def param_defs(spec: BackboneSpec) -> list[tuple[str, tuple[int, ...]]]:
     c_in = c
     for i in reversed(range(spec.depth)):
         c = spec.base_channels * (2**i)
+        ops.append(("up",))
         conv(f"dec{i}up", c, c_in)
+        ops.append(("cat", i))
         conv(f"dec{i}merge", c, 2 * c)
         c_in = c
-    conv("head", 1, c_in, k=1)
-    return defs
+    conv("head", 1, c_in, k=1, relu=False)
+    return ops
 
 
 class Layout:
-    """Offsets of each named parameter block inside the flat vector."""
+    """The network's op list, and the offsets of each conv block's weight
+    (``<name>_w``) and bias (``<name>_b``) inside the flat vector, in op
+    order."""
 
     def __init__(self, spec: BackboneSpec):
+        self.ops = _network(spec)
         self.entries: list[tuple[str, tuple[int, ...], int, int]] = []
         off = 0
-        for name, shape in param_defs(spec):
-            size = int(np.prod(shape))
-            self.entries.append((name, shape, off, size))
-            off += size
+        for op in self.ops:
+            if op[0] == "conv":
+                _, name, shape, _ = op
+                for suffix, block in (("_w", shape), ("_b", shape[:1])):
+                    size = int(np.prod(block))
+                    self.entries.append((name + suffix, block, off, size))
+                    off += size
         self.total = off
 
     def unpack(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of `vec`'s blocks by name; writing one writes `vec`."""
         return {
             name: vec[off : off + size].reshape(shape)
             for name, shape, off, size in self.entries
         }
-
-    def pack(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        out = np.empty(self.total, dtype=np.float64)
-        for name, shape, off, size in self.entries:
-            out[off : off + size] = blocks[name].reshape(size)
-        return out
 
 
 @lru_cache(maxsize=16)
@@ -139,15 +144,13 @@ def param_count(spec: BackboneSpec) -> int:
 def init_params(spec: BackboneSpec, seed: int) -> ParamVector:
     """He-initialized weights, zero biases; deterministic in (spec, seed)."""
     rng = Rng(seed)
-    parts = []
-    for name, shape in param_defs(spec):
-        size = int(np.prod(shape))
+    layout = layout_for(spec)
+    vals = np.zeros(layout.total)
+    for name, shape, off, size in layout.entries:
         if name.endswith("_w"):
             fan_in = int(np.prod(shape[1:]))
-            parts.append(rng.normals(size) * np.sqrt(2.0 / fan_in))
-        else:
-            parts.append(np.zeros(size))
-    return ParamVector(np.concatenate(parts), spec.layout_id)
+            vals[off : off + size] = rng.normals(size) * np.sqrt(2.0 / fan_in)
+    return ParamVector(vals, spec.layout_id)
 
 
 def _check_compat(spec: BackboneSpec, theta: ParamVector, x_shape: tuple[int, int]) -> None:
@@ -220,77 +223,66 @@ def _up_bwd(d: np.ndarray) -> np.ndarray:
     return d.reshape(c, h // 2, 2, w // 2, 2).sum(axis=(2, 4))
 
 
-def _forward_cached(spec: BackboneSpec, params: dict[str, np.ndarray], x: np.ndarray):
-    cache: dict = {"conv_in": {}, "relu": {}, "pool": {}}
+def _forward_cached(layout: Layout, params: dict[str, np.ndarray], x: np.ndarray):
+    """Output probabilities, and per op what its backward step needs."""
     a = x[np.newaxis]
     skips: dict[int, np.ndarray] = {}
-
-    def conv_relu(name: str, inp: np.ndarray) -> np.ndarray:
-        z, xp = _conv_fwd(inp, params[name + "_w"], params[name + "_b"])
-        act = np.maximum(z, 0.0)
-        cache["conv_in"][name] = xp
-        cache["relu"][name] = act
-        return act
-
-    for i in range(spec.depth):
-        a = conv_relu(f"enc{i}a", a)
-        a = conv_relu(f"enc{i}b", a)
-        skips[i] = a
-        out, idx = _pool_fwd(a)
-        cache["pool"][i] = (idx, a.shape)
-        a = out
-    a = conv_relu("mid_a", a)
-    a = conv_relu("mid_b", a)
-    for i in reversed(range(spec.depth)):
-        a = _up_fwd(a)
-        a = conv_relu(f"dec{i}up", a)
-        a = np.concatenate([a, skips[i]], axis=0)
-        a = conv_relu(f"dec{i}merge", a)
-    z, xp = _conv_fwd(a, params["head_w"], params["head_b"])
-    cache["conv_in"]["head"] = xp
-    p = np.clip(_sigmoid(z[0]), _P_CLIP, 1.0 - _P_CLIP)
-    cache["p"] = p
-    return p, cache
+    saved: list = []
+    for op in layout.ops:
+        keep = None
+        match op:
+            case ("conv", name, _, relu):
+                z, xp = _conv_fwd(a, params[name + "_w"], params[name + "_b"])
+                a = np.maximum(z, 0.0) if relu else z
+                keep = (xp, a)
+            case ("pool", level):
+                skips[level] = a
+                a, idx = _pool_fwd(a)
+                keep = (idx, skips[level].shape)
+            case ("up",):
+                a = _up_fwd(a)
+            case ("cat", level):
+                keep = a.shape[0]
+                a = np.concatenate([a, skips[level]], axis=0)
+        saved.append(keep)
+    p = np.clip(_sigmoid(a[0]), _P_CLIP, 1.0 - _P_CLIP)
+    return p, saved
 
 
 def _backward(
-    spec: BackboneSpec, params: dict[str, np.ndarray], cache: dict, dp: np.ndarray
-) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-
-    def conv_relu_bwd(name: str, d: np.ndarray) -> np.ndarray:
-        dz = d * (cache["relu"][name] > 0)
-        dx, dw, db = _conv_bwd(dz, cache["conv_in"][name], params[name + "_w"])
-        grads[name + "_w"] = dw
-        grads[name + "_b"] = db
-        return dx
-
-    p = cache["p"]
+    layout: Layout,
+    params: dict[str, np.ndarray],
+    saved: list,
+    p: np.ndarray,
+    dp: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> None:
+    """Add the parameter gradient for output gradient `dp` into `grads`."""
     d = (dp * p * (1.0 - p))[np.newaxis]
-    d, grads["head_w"], grads["head_b"] = _conv_bwd(d, cache["conv_in"]["head"], params["head_w"])
-
     dskips: dict[int, np.ndarray] = {}
-    for i in range(spec.depth):
-        d = conv_relu_bwd(f"dec{i}merge", d)
-        c_half = d.shape[0] // 2
-        dskips[i] = d[c_half:]
-        d = conv_relu_bwd(f"dec{i}up", d[:c_half])
-        d = _up_bwd(d)
-    d = conv_relu_bwd("mid_b", d)
-    d = conv_relu_bwd("mid_a", d)
-    for i in reversed(range(spec.depth)):
-        idx, shape = cache["pool"][i]
-        d = _pool_bwd(d, idx, shape) + dskips[i]
-        d = conv_relu_bwd(f"enc{i}b", d)
-        d = conv_relu_bwd(f"enc{i}a", d)
-    return grads
+    for op, keep in zip(reversed(layout.ops), reversed(saved)):
+        match op:
+            case ("conv", name, _, relu):
+                xp, act = keep
+                if relu:
+                    d = d * (act > 0)
+                d, dw, db = _conv_bwd(d, xp, params[name + "_w"])
+                grads[name + "_w"] += dw
+                grads[name + "_b"] += db
+            case ("pool", level):
+                idx, shape = keep
+                d = _pool_bwd(d, idx, shape) + dskips[level]
+            case ("up",):
+                d = _up_bwd(d)
+            case ("cat", level):
+                d, dskips[level] = d[:keep], d[keep:]
 
 
 def forward(spec: BackboneSpec, theta: ParamVector, x: Image) -> ProbMap:
     """Pure forward pass; output has the input's shape, values in (0, 1)."""
     _check_compat(spec, theta, x.shape)
-    params = layout_for(spec).unpack(theta.values)
-    p, _ = _forward_cached(spec, params, x.pixels)
+    layout = layout_for(spec)
+    p, _ = _forward_cached(layout, layout.unpack(theta.values), x.pixels)
     return ProbMap(p)
 
 
@@ -306,10 +298,11 @@ def loss_and_grad(
     layout = layout_for(spec)
     params = layout.unpack(theta.values)
     total = np.zeros(layout.total)
+    grads = layout.unpack(total)
     parts = []
     for img, msk in batch:
         _check_compat(spec, theta, img.shape)
-        p, cache = _forward_cached(spec, params, img.pixels)
+        p, saved = _forward_cached(layout, params, img.pixels)
         if not np.isfinite(p).all():
             raise NonFiniteLoss("forward pass produced non-finite probabilities")
         pm = ProbMap(p)
@@ -317,7 +310,7 @@ def loss_and_grad(
         if not lb.all_finite():
             raise NonFiniteLoss(f"non-finite loss components: {lb}")
         dp = loss_grad(pm, msk, loss_cfg)
-        total += layout.pack(_backward(spec, params, cache, dp))
+        _backward(layout, params, saved, p, dp, grads)
         parts.append(lb)
     total /= len(batch)
     return mean_breakdown(parts), total

@@ -145,18 +145,21 @@ def test_forward_fully_convolutional():
 # ---------------------------------------------------------------- gradients
 
 
-def _fd_param_grad(spec, theta, batch, cfg, h=1e-5):
+def _fd_param_grad(spec, theta, batch, cfg, coords=None, h=1e-5):
+    """Central differences at `coords` (every coordinate by default)."""
+
     def L(v):
         bd, _ = loss_and_grad(spec, ParamVector(v, theta.layout_id), batch, cfg)
         return bd.l_total
 
-    fd = np.zeros(len(theta))
-    for i in range(len(theta)):
+    coords = range(len(theta)) if coords is None else coords
+    fd = np.zeros(len(coords))
+    for n, i in enumerate(coords):
         vp = theta.values.copy()
         vm = theta.values.copy()
         vp[i] += h
         vm[i] -= h
-        fd[i] = (L(vp) - L(vm)) / (2 * h)
+        fd[n] = (L(vp) - L(vm)) / (2 * h)
     return fd
 
 
@@ -183,6 +186,24 @@ def test_parameter_gradient_finite_differences(s):
     _, g = loss_and_grad(TINY, theta, [(img, msk)], cfg)
     fd = _fd_param_grad(TINY, theta, [(img, msk)], cfg)
     assert _max_rel_err(g, fd) < 1e-4
+
+
+def test_gradient_two_levels_two_samples():
+    # depth 2 routes two skip connections, and two samples check that the
+    # per-sample gradients accumulate into the batch mean
+    spec = BackboneSpec(depth=2, base_channels=1)
+    cfg = LossConfig(kernel=GaussianKernel(sigma=1.0, radius=2))
+    batch = [small_pair(31), small_pair(32)]
+    theta = _jittered(spec, 33, 34)
+    assert len(theta) == 490
+    _, g = loss_and_grad(spec, theta, batch, cfg)
+    # first, middle and last coordinate of every weight and bias block
+    coords = sorted(
+        {off + j for _, _, off, size in layout_for(spec).entries for j in (0, size // 2, size - 1)}
+    )
+    fd = _fd_param_grad(spec, theta, batch, cfg, coords)
+    assert np.abs(g[coords]).max() > 1e-3
+    assert _max_rel_err(g[coords], fd) < 1e-4
 
 
 def test_toy_linear_sigmoid_gradient():
