@@ -49,39 +49,21 @@ def _tree(obj) -> dict:
     return out
 
 
-def _build(cls, tree: dict):
-    """Inverse of `_tree`: construct `cls` from a complete nested dict."""
+def _overlay(base, user, key: str):
+    """Build a config from `base`, a config class or a field's default
+    instance, with the keys that `user`, the document at config key `key`,
+    gives. A nested config overlays its own default instance."""
+    if not isinstance(user, dict):
+        raise CorruptManifest(f"config key {key!r} must be an object")
+    known = {f.name: f for f in fields(base) if f.init}
     kwargs = {}
-    for f in fields(cls):
-        if f.init:
-            nested = _default(f)
-            v = tree[f.name]
-            kwargs[f.name] = _build(type(nested), v) if is_dataclass(nested) else v
-    return cls(**kwargs)
-
-
-def _merge_config(defaults: dict, user: dict, prefix: str = "") -> dict:
-    """Overlay a user document onto the defaults, rejecting unknown keys."""
-    for key in user:
-        if key not in defaults:
-            raise CorruptManifest(f"unknown config key {prefix + key!r}")
-    merged = {}
-    for key, dval in defaults.items():
-        if isinstance(dval, dict):
-            uval = user.get(key, {})
-            if not isinstance(uval, dict):
-                raise CorruptManifest(f"config key {prefix + key!r} must be an object")
-            merged[key] = _merge_config(dval, uval, prefix=f"{prefix}{key}.")
-        else:
-            merged[key] = user.get(key, dval)
-    return merged
-
-
-def _resolve(user: dict, sections: dict) -> dict:
-    """Overlay `user` onto the section defaults and build every section;
-    returns the built objects by section name."""
-    merged = _merge_config({name: _tree(cls) for name, cls in sections.items()}, user)
-    return {name: _build(cls, merged[name]) for name, cls in sections.items()}
+    for name, value in user.items():
+        sub = f"{key}.{name}"
+        if name not in known:
+            raise CorruptManifest(f"unknown config key {sub!r}")
+        nested = _default(known[name]) if isinstance(base, type) else getattr(base, name)
+        kwargs[name] = _overlay(nested, value, sub) if is_dataclass(nested) else value
+    return base(**kwargs) if isinstance(base, type) else replace(base, **kwargs)
 
 
 def load_config(path: str | None) -> dict:
@@ -92,7 +74,10 @@ def load_config(path: str | None) -> dict:
     user = {} if path is None else read_json(path)
     if not isinstance(user, dict):
         raise CorruptManifest(f"{path}: config must be a JSON object")
-    return {name: _tree(obj) for name, obj in _resolve(user, SECTIONS).items()}
+    for name in user:
+        if name not in SECTIONS:
+            raise CorruptManifest(f"unknown config key {name!r}")
+    return {name: _tree(_overlay(cls, user.get(name, {}), name)) for name, cls in SECTIONS.items()}
 
 
 # ------------------------------------------------------------- commands
@@ -143,7 +128,7 @@ def _write_stage_logs(run_dir: Path, history) -> None:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    spec, loss_cfg, phase_cfg = (_build(SECTIONS[k], cfg[k]) for k in ("backbone", "loss", "run"))
+    spec, loss_cfg, phase_cfg = (_overlay(SECTIONS[k], cfg[k], k) for k in ("backbone", "loss", "run"))
 
     raw_train, _ = load_phase(args.data)
     raw_val, _ = load_phase(args.val)
@@ -185,15 +170,13 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     run_dir = Path(args.run)
-    # prediction needs only these sections; the training ones may come
-    # from another version of the config schema
-    sections = {k: SECTIONS[k] for k in ("backbone", "predict")}
     cfg_path = run_dir / "run_config.json"
     base = read_json(cfg_path) if cfg_path.exists() else {}
     if not isinstance(base, dict):
         raise CorruptManifest(f"{cfg_path}: config must be a JSON object")
-    cfg = _resolve({k: base[k] for k in sections if k in base}, sections)
-    spec, pcfg = cfg["backbone"], cfg["predict"]
+    # prediction needs only these sections; the training ones may come
+    # from another version of the config schema
+    spec, pcfg = (_overlay(SECTIONS[k], base.get(k, {}), k) for k in ("backbone", "predict"))
     overrides = {"d_t": args.dt, "max_iters": args.max_iters}
     pcfg = replace(pcfg, **{k: v for k, v in overrides.items() if v is not None})
 

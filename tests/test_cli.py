@@ -231,6 +231,39 @@ def test_unknown_config_key_rejected(workspace, tmp_path, capsys):
         assert not (tmp_path / "x").exists()
 
 
+def test_non_object_config_section_rejected(workspace, tmp_path, capsys):
+    cases = [
+        ({"run": 5}, "run"),
+        ({"run": {"phase1": []}}, "run.phase1"),
+        ({"loss": {"kernel": 3}}, "loss.kernel"),
+    ]
+    for doc, key in cases:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = entry(
+            [
+                "train",
+                "--data", str(workspace / "train"),
+                "--val", str(workspace / "val"),
+                "--out", str(tmp_path / "x"),
+                "--config", str(bad),
+            ]
+        )
+        assert rc == 1
+        assert f"config key {key!r} must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+def test_partial_stage_config_keeps_stage_defaults(tmp_path):
+    # a nested section overlays the stage's own defaults, not OptimizerConfig's
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"run": {"phase1": {"epochs": 1}}}))
+    phase1 = load_config(p)["run"]["phase1"]
+    assert phase1 == {**asdict(PhaseConfig().phase1), "epochs": 1}
+    assert (phase1["learning_rate"], phase1["batch_size"]) == (3e-3, 8)
+    assert phase1["seed"] == derive_seed(0, 101)
+
+
 def test_config_defaults_and_seed_derivation(tmp_path):
     cfg = load_config(None)
     assert cfg["backbone"] == {"depth": 2, "base_channels": 8}
