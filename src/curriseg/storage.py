@@ -1,4 +1,4 @@
-"""On-disk formats: 8-bit PGM rasters, JSON artifacts and flat float32
+"""On-disk formats: 8-bit PGM rasters, JSON artifacts and flat float64
 weight checkpoints.
 
 JSON artifacts go through `write_json` (two-space indent, final newline) and
@@ -19,8 +19,9 @@ with file paths relative to the directory and an optional crop record
 left, right]) when the item was cut out of a larger source.
 
 A checkpoint is ``b"CKSM"`` + u32 version (little-endian) + u64 value
-count (little-endian) + that many little-endian float32 values, plus a
-``<name>.json`` sidecar holding the layout id and caller metadata.
+count (little-endian) + that many little-endian float64 values (version
+2), plus a ``<name>.json`` sidecar holding the layout id and caller
+metadata. Version 1 files, whose values are float32, are still read.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from .errors import (
 from .types import PHASE_IDS, BBox, CropRecord, DatasetItem, DatasetPhase, Image, Mask, ParamVector
 
 CHECKPOINT_MAGIC = b"CKSM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# value dtype of each checkpoint version this code reads
+_CHECKPOINT_DTYPES = {1: "<f4", 2: "<f8"}
 
 
 # --------------------------------------------------------------- JSON
@@ -169,9 +172,13 @@ def crop_from_dict(d: dict) -> CropRecord:
 def save_phase(out_dir, phase: DatasetPhase, meta: dict | None = None) -> Path:
     """Write rasters plus manifest.json; returns the manifest path.
 
-    The phase id rides along in the manifest meta.
+    The phase id rides along in the manifest meta. The manifest is the
+    directory's commit record: an older one is removed before the first
+    raster is written, and the new one is written last.
     """
     out = Path(out_dir)
+    path = out / "manifest.json"
+    path.unlink(missing_ok=True)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
     entries = []
@@ -186,7 +193,6 @@ def save_phase(out_dir, phase: DatasetPhase, meta: dict | None = None) -> Path:
             entry["crop"] = crop_to_dict(item.crop)
         entries.append(entry)
     manifest = {"meta": {**(meta or {}), "phase_id": phase.phase_id}, "items": entries}
-    path = out / "manifest.json"
     write_json(path, manifest)
     return path
 
@@ -219,9 +225,9 @@ def load_phase(in_dir) -> tuple[DatasetPhase, dict]:
 
 
 def save_checkpoint(path, params: ParamVector, meta: dict | None = None) -> None:
-    """Write weights as float32 plus a JSON sidecar next to the file."""
+    """Write weights as float64 plus a JSON sidecar next to the file."""
     path = Path(path)
-    vals = params.values.astype("<f4")
+    vals = params.values.astype(_CHECKPOINT_DTYPES[CHECKPOINT_VERSION])
     blob = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
     blob += struct.pack("<Q", vals.size) + vals.tobytes()
     # sidecar first: a crash between the two leaves it naming the newer writer
@@ -241,13 +247,14 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
     if len(raw) < 16:
         raise CountMismatch(f"{path}: truncated checkpoint header")
     (version,) = struct.unpack("<I", raw[4:8])
-    if version != CHECKPOINT_VERSION:
-        raise VersionUnsupported(f"{path}: version {version} (supported: {CHECKPOINT_VERSION})")
+    if version not in _CHECKPOINT_DTYPES:
+        raise VersionUnsupported(f"{path}: version {version} (supported: {sorted(_CHECKPOINT_DTYPES)})")
+    dtype = np.dtype(_CHECKPOINT_DTYPES[version])
     (count,) = struct.unpack("<Q", raw[8:16])
     body = raw[16:]
-    if len(body) != 4 * count:
-        raise CountMismatch(f"{path}: expected {4 * count} value bytes, found {len(body)}")
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    if len(body) != dtype.itemsize * count:
+        raise CountMismatch(f"{path}: expected {dtype.itemsize * count} value bytes, found {len(body)}")
+    values = np.frombuffer(body, dtype=dtype).astype(np.float64)
 
     side_path = path.with_suffix(path.suffix + ".json")
     side = read_json(side_path)

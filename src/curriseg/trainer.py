@@ -350,6 +350,8 @@ class _RunDir:
             if (out / "history.json").exists():
                 self.prior = history_from_json(read_json(out / "history.json"))
         else:
+            # an older run's D2 is not this run's; its manifest goes first
+            (out / "d2" / "manifest.json").unlink(missing_ok=True)
             write_json(status, {"completed": []})
 
     def resumable(self, name: str) -> bool:

@@ -34,6 +34,7 @@ from curriseg import (
     save_phase,
     write_pgm,
 )
+from curriseg import storage
 from curriseg.storage import read_json, write_json
 
 # -------------------------------------------------------------------- PGM
@@ -124,6 +125,27 @@ def test_phase_round_trip(tmp_path):
     assert meta["phase_id"] == "D3" and meta["note"] == "x"
 
 
+def test_interrupted_save_phase_leaves_no_manifest(tmp_path, monkeypatch):
+    # the manifest is the commit record: an older one must not survive a
+    # rewrite that stops among the rasters
+    save_phase(tmp_path / "p", generate(GenConfig(count=3, height=16, width=16, seed=1)))
+    save_image = storage.save_image
+    written = []
+
+    def crash_on_second_image(path, img):
+        written.append(path)
+        if len(written) == 2:
+            raise KeyboardInterrupt("crashed while writing the rasters")
+        return save_image(path, img)
+
+    monkeypatch.setattr(storage, "save_image", crash_on_second_image)
+    with pytest.raises(KeyboardInterrupt):
+        save_phase(tmp_path / "p", generate(GenConfig(count=3, height=16, width=16, seed=2)))
+    monkeypatch.undo()
+    with pytest.raises(MissingFile):
+        load_phase(tmp_path / "p")
+
+
 def test_manifest_errors(tmp_path):
     with pytest.raises(MissingFile):
         load_phase(tmp_path / "nothing")
@@ -176,13 +198,12 @@ def test_json_artifact_round_trip_and_errors(tmp_path):
 # --------------------------------------------------------------- checkpoints
 
 
-def f32_vec(seed, n, layout="toy"):
-    # storage is binary32; draw values already representable there
-    return ParamVector(Rng(seed).normals(n).astype(np.float32).astype(np.float64), layout)
+def vec(seed, n, layout="toy"):
+    return ParamVector(Rng(seed).normals(n), layout)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    theta = f32_vec(4, 10_000)
+    theta = vec(4, 10_000)
     p = tmp_path / "w.ckpt"
     save_checkpoint(p, theta, meta={"stage": "t", "alpha": 0.99})
     back, meta = load_checkpoint(p)
@@ -202,20 +223,36 @@ def test_checkpoint_save_load_save_stable(tmp_path):
 
 
 def test_checkpoint_wire_format(tmp_path):
-    theta = f32_vec(5, 3)
+    theta = vec(5, 3)
     p = tmp_path / "w.ckpt"
     save_checkpoint(p, theta)
     raw = p.read_bytes()
     assert raw[:4] == b"CKSM"
-    assert struct.unpack("<I", raw[4:8])[0] == 1
+    assert struct.unpack("<I", raw[4:8])[0] == 2
     assert struct.unpack("<Q", raw[8:16])[0] == 3
-    np.testing.assert_array_equal(
-        np.frombuffer(raw[16:], dtype="<f4").astype(np.float64), theta.values
-    )
+    assert len(raw) == 16 + 8 * 3
+    np.testing.assert_array_equal(np.frombuffer(raw[16:], dtype="<f8"), theta.values)
+
+
+def test_checkpoint_reads_version_1(tmp_path):
+    # version 1 stored float32 values; such files must still load
+    values = np.array([0.5, -1.25, 3.1], dtype="<f4")
+    head = b"CKSM" + struct.pack("<I", 1) + struct.pack("<Q", 3)
+    p = tmp_path / "old.ckpt"
+    p.write_bytes(head + values.tobytes())
+    write_json(tmp_path / "old.ckpt.json", {"layout_id": "toy", "meta": {"stage": "phase3"}})
+    back, meta = load_checkpoint(p)
+    assert back.values.dtype == np.float64
+    np.testing.assert_array_equal(back.values, values.astype(np.float64))
+    assert (back.layout_id, meta) == ("toy", {"stage": "phase3"})
+    # a version-1 body is counted in 4-byte values
+    p.write_bytes(head + values.astype("<f8").tobytes())
+    with pytest.raises(CountMismatch):
+        load_checkpoint(p)
 
 
 def test_checkpoint_errors(tmp_path):
-    theta = f32_vec(6, 8)
+    theta = vec(6, 8)
     good = tmp_path / "g.ckpt"
     save_checkpoint(good, theta)
     blob = good.read_bytes()

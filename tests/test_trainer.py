@@ -38,6 +38,7 @@ from curriseg import (
     save_checkpoint,
     threshold,
 )
+from curriseg import storage, trainer
 from curriseg.backbone import layout_for
 from curriseg.rng import derive_seed
 from curriseg.trainer import (
@@ -414,7 +415,7 @@ def test_run_full_persists_stage_artifacts(tmp_path):
         "segmentation",
     ]
     theta3, meta = load_checkpoint(out / "phase3.ckpt")
-    np.testing.assert_array_equal(theta3.values, rs.theta_3.values.astype(np.float32))
+    np.testing.assert_array_equal(theta3.values, rs.theta_3.values)
     assert meta["stage"] == "phase3"
 
     det = load_cache(out / "detection_cache.ckpt")
@@ -432,10 +433,8 @@ def test_resume_completed_run_reloads_everything(tmp_path):
     out = tmp_path / "run"
     first = run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
     second = run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
-    # resumed stages come back at checkpoint (binary32) precision
-    np.testing.assert_array_equal(
-        second.theta_seg.values, first.theta_seg.values.astype(np.float32).astype(np.float64)
-    )
+    # resumed stages come back exactly: checkpoints are float64
+    np.testing.assert_array_equal(second.theta_seg.values, first.theta_seg.values)
     assert [r.phase for r in second.history] == [r.phase for r in first.history]
     assert second.stats["d2_fallbacks"] == first.stats["d2_fallbacks"]
 
@@ -531,6 +530,66 @@ def test_torn_status_write_leaves_previous_status(tmp_path, monkeypatch):
     rs = run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
     assert [(r.phase, r.epoch) for r in rs.history] == [(r.phase, r.epoch) for r in straight.history]
     assert json.loads(status.read_text())["completed"][-1] == "segmentation"
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("stop_before", ["phase2", "phase3", "segmentation"])
+def test_resume_at_each_stage_boundary_matches_straight_run(tmp_path, monkeypatch, stop_before):
+    raw, val = raw_phase(), raw_phase(count=3, seed=9)
+    run_full(raw, val, tiny_cfg(), TINY, out_dir=tmp_path / "straight")
+    out = tmp_path / "run"
+    run_phase = trainer.run_phase
+
+    def stop(stage, *args, **kwargs):
+        if stage == stop_before:
+            raise KeyboardInterrupt(f"stopped before {stage}")
+        return run_phase(stage, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "run_phase", stop)
+    with pytest.raises(KeyboardInterrupt):
+        run_full(raw, val, tiny_cfg(), TINY, out_dir=out)
+    monkeypatch.undo()
+
+    run_full(raw, val, tiny_cfg(), TINY, out_dir=out, resume=True)
+    # checkpoints, sidecars, history, status and D2: all of a straight run's bytes
+    assert tree_bytes(out) == tree_bytes(tmp_path / "straight")
+
+
+@pytest.mark.parametrize("crash_in", ["build_d2", "d2_rasters"])
+def test_resume_never_reads_an_older_runs_d2(tmp_path, monkeypatch, crash_in):
+    raw = raw_phase()
+    run_full(raw, None, tiny_cfg(), TINY, out_dir=tmp_path / "straight")
+    out = tmp_path / "run"
+    # an older run on other data leaves its D2 in the directory
+    run_full(raw_phase(seed=4), None, tiny_cfg(), TINY, out_dir=out)
+    save_image = storage.save_image
+    written = []
+
+    def crash_on_fourth_d2_image(path, img):
+        if Path(path).parent.parent.name == "d2":
+            written.append(path)
+            if len(written) == 4:
+                raise KeyboardInterrupt("crashed while writing the D2 rasters")
+        return save_image(path, img)
+
+    def crash_building_d2(*args, **kwargs):
+        raise KeyboardInterrupt("crashed while building D2")
+
+    # a fresh run into that directory stops once phase I has committed
+    if crash_in == "build_d2":
+        monkeypatch.setattr(trainer, "build_d2", crash_building_d2)
+    else:
+        monkeypatch.setattr(storage, "save_image", crash_on_fourth_d2_image)
+    with pytest.raises(KeyboardInterrupt):
+        run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
+    monkeypatch.undo()
+    assert json.loads((out / "status.json").read_text())["completed"] == ["phase1"]
+
+    run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
+    assert tree_bytes(out) == tree_bytes(tmp_path / "straight")
 
 
 def test_resume_refuses_cache_rewritten_after_status(tmp_path):
