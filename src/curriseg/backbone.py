@@ -232,8 +232,9 @@ def _forward_cached(layout: Layout, params: dict[str, np.ndarray], x: np.ndarray
         keep = None
         match op:
             case ("conv", name, _, relu):
-                z, xp = _conv_fwd(a, params[name + "_w"], params[name + "_b"])
-                a = np.maximum(z, 0.0) if relu else z
+                a, xp = _conv_fwd(a, params[name + "_w"], params[name + "_b"])
+                if relu:
+                    a = np.maximum(a, 0.0)
                 keep = (xp, a)
             case ("pool", level):
                 skips[level] = a
