@@ -13,13 +13,12 @@ from .backbone import (
     OptimizerConfig,
     OptState,
     forward,
-    init_opt_state,
     init_params,
     loss_and_grad,
     param_count,
     train_step,
 )
-from .ema import CacheModel, cache_forward, cache_init, cache_update
+from .ema import CacheModel, cache_init, cache_update
 from .errors import (
     AlignmentError,
     AlphaOutOfRange,

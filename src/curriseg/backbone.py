@@ -330,10 +330,6 @@ class OptState:
     _ADAM_EPS = 1e-8
 
 
-def init_opt_state(n_params: int) -> OptState:
-    return OptState(0, np.zeros(n_params), np.zeros(n_params))
-
-
 def _apply_update(
     vals: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig, st: OptState
 ) -> tuple[np.ndarray, OptState]:
@@ -357,7 +353,7 @@ def train_step(
 ) -> tuple[ParamVector, OptState, LossBreakdown]:
     """One optimizer step on the batch-mean loss; returns the pre-step loss."""
     if opt_state is None:
-        opt_state = init_opt_state(len(theta))
+        opt_state = OptState(0, np.zeros(len(theta)), np.zeros(len(theta)))
     lb, grad = loss_and_grad(spec, theta, batch, loss_cfg)
     new_vals, new_state = _apply_update(theta.values, grad, cfg, opt_state)
     return ParamVector(new_vals, theta.layout_id), new_state, lb

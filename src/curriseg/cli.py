@@ -89,9 +89,6 @@ def cmd_gen(args) -> int:
         count=args.count,
         height=h,
         width=w,
-        fg_ratio_range=(args.fg_lo, args.fg_hi),
-        blob_irregularity=args.irregularity,
-        noise_sigma=args.noise_sigma,
         empty_slice_fraction=args.empty_frac,
         seed=args.seed,
     )
@@ -294,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--count", type=int, required=True, help="number of items")
     p.add_argument("--size", type=_size, default=(g.height, g.width), help=f"image size HxW (default {g.height}x{g.width})")
-    p.add_argument("--fg-lo", type=float, default=g.fg_ratio_range[0], help="min foreground ratio")
-    p.add_argument("--fg-hi", type=float, default=g.fg_ratio_range[1], help="max foreground ratio")
     p.add_argument("--empty-frac", type=float, default=g.empty_slice_fraction, help="fraction of empty-mask items")
-    p.add_argument("--irregularity", type=float, default=g.blob_irregularity, help="blob shape irregularity in [0,1]")
-    p.add_argument("--noise-sigma", type=float, default=g.noise_sigma, help="background noise scale")
     p.add_argument("--seed", type=int, default=g.seed)
     p.set_defaults(func=cmd_gen)
 

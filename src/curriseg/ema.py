@@ -12,15 +12,15 @@ the cache tracks the live weights exactly.
 
 Caches are what the rest of the system consumes: cropping decisions and
 final predictions are made with cached weights, never the live ones.
+The callers run `backbone.forward` on `cache.params`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backbone import BackboneSpec, forward
 from .errors import AlphaOutOfRange, LayoutMismatch, ValueOutOfRange
-from .types import Image, ParamVector, ProbMap
+from .types import ParamVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +55,3 @@ def cache_update(cache: CacheModel, theta: ParamVector) -> CacheModel:
     a = cache.alpha
     merged = a * cache.params.values + (1.0 - a) * theta.values
     return CacheModel(ParamVector(merged, cache.params.layout_id), a, cache.updates + 1)
-
-
-def cache_forward(spec: BackboneSpec, cache: CacheModel, x: Image) -> ProbMap:
-    """Run the network with the cached weights."""
-    return forward(spec, cache.params, x)

@@ -107,28 +107,11 @@ def paste_back(p: ProbMap, rec: CropRecord) -> ProbMap:
     return ProbMap(canvas)
 
 
-def reflect_indices(n: int, r: int) -> np.ndarray:
-    """Source index for each position of an r-padded axis of length n.
-
-    Mirror reflection without repeating the edge sample (the triangular wave
-    of period 2n-2), valid for any r. A length-1 axis maps everything to 0.
-    """
-    q = np.arange(-r, n + r)
-    if n == 1:
-        return np.zeros_like(q)
-    period = 2 * n - 2
-    p = np.mod(q, period)
-    return np.where(p <= n - 1, p, period - p)
-
-
-def _pad_reflect(m: np.ndarray, r: int) -> np.ndarray:
-    ri = reflect_indices(m.shape[0], r)
-    ci = reflect_indices(m.shape[1], r)
-    return m[np.ix_(ri, ci)]
-
-
 def gaussian_smooth(m: np.ndarray, k: GaussianKernel) -> np.ndarray:
     """2D convolution with `k`, reflecting at the borders; same shape out.
+
+    The border is NumPy's reflect padding: mirrored without repeating the
+    edge sample, folded again where the radius exceeds the axis.
 
     Accumulates one kernel tap at a time in fixed row-major order, so the
     floating-point result is reproducible.
@@ -140,7 +123,7 @@ def gaussian_smooth(m: np.ndarray, k: GaussianKernel) -> np.ndarray:
         raise ValueOutOfRange("smoothing input contains non-finite values")
     h, w = m.shape
     r = k.radius
-    mp = _pad_reflect(m, r)
+    mp = np.pad(m, r, mode="reflect")
     out = np.zeros((h, w), dtype=np.float64)
     for u in range(k.size):
         for v in range(k.size):
@@ -161,8 +144,7 @@ def gaussian_smooth_adjoint(g: np.ndarray, k: GaussianKernel) -> np.ndarray:
     for u in range(k.size):
         for v in range(k.size):
             gp[u : u + h, v : v + w] += k.weights[u, v] * g
-    ri = reflect_indices(h, r)
-    ci = reflect_indices(w, r)
-    flat = ri[:, None] * w + ci[None, :]
-    folded = np.bincount(flat.ravel(), weights=gp.ravel(), minlength=h * w)
+    # the source pixel of each padded position, padded exactly as the input
+    src = np.pad(np.arange(h * w).reshape(h, w), r, mode="reflect")
+    folded = np.bincount(src.ravel(), weights=gp.ravel(), minlength=h * w)
     return folded.reshape(h, w)

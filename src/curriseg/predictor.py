@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backbone import BackboneSpec
-from .ema import CacheModel, cache_forward
+from .backbone import BackboneSpec, forward
+from .ema import CacheModel
 from .errors import ValueOutOfRange
 from .evaluation import dsc
 from .geometry import bbox_from_mask, crop_like, make_crop_record, paste_back, threshold
@@ -94,7 +94,7 @@ def predict(
     """
     h, w = x.shape
     whole = BBox(0, h - 1, 0, w - 1)
-    crop_source: ProbMap = cache_forward(spec, det, x)
+    crop_source: ProbMap = forward(spec, det.params, x)
 
     passes = cfg.max_iters if cfg.d_t is not None else 1
     records: list[IterationRecord] = []
@@ -108,7 +108,7 @@ def predict(
         fallback = box is None
         rec = make_crop_record((h, w), whole if fallback else box, cfg.margin, spec.input_align)
         patch = Image(crop_like(x.pixels, rec))
-        p_seg = cache_forward(spec, seg, patch)
+        p_seg = forward(spec, seg.params, patch)
         pasted = paste_back(p_seg, rec)
         mask = threshold(pasted, cfg.final_threshold)
 

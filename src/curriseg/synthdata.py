@@ -6,9 +6,9 @@ The real foreground is both bright and speckled, so neither brightness
 nor texture alone separates it — a model has to learn the conjunction.
 
 Foreground shapes are star-convex radial blobs (a base radius modulated
-by a few low-order angular harmonics, their amplitude controlled by
-``blob_irregularity``), redrawn until the realized foreground ratio
-lands inside ``fg_ratio_range`` and the rasterized mask is a single
+by a few low-order angular harmonics, their amplitude scaled by
+``BLOB_IRREGULARITY``), redrawn until the realized foreground ratio
+lands inside ``FG_RATIO_RANGE`` and the rasterized mask is a single
 4-connected component clear of the border.
 
 Item ``i`` is generated from its own derived stream, so a dataset is a
@@ -32,7 +32,11 @@ from .types import DatasetItem, DatasetPhase, Image, Mask
 _SMOOTH = GaussianKernel(sigma=1.0, radius=3)
 # Each image gets between these many decoys of each type, inclusive.
 DISTRACTORS_PER_TYPE = (3, 5)
-# Foreground draws tried per item before the fg_ratio_range is given up on.
+# Foreground pixels per image pixel: each item's foreground lands in here.
+FG_RATIO_RANGE = (0.008, 0.02)
+# Angular-harmonic amplitude of the foreground blob, in [0, 1].
+BLOB_IRREGULARITY = 0.5
+# Foreground draws tried per item before FG_RATIO_RANGE is given up on.
 MAX_ATTEMPTS = 200
 
 
@@ -41,9 +45,6 @@ class GenConfig:
     count: int
     height: int = 64
     width: int = 64
-    fg_ratio_range: tuple[float, float] = (0.008, 0.02)
-    blob_irregularity: float = 0.5
-    noise_sigma: float = 1.0
     empty_slice_fraction: float = 0.0
     seed: int = 0
 
@@ -52,13 +53,6 @@ class GenConfig:
             raise ValueOutOfRange(f"count must be >= 1, got {self.count}")
         if self.height < 16 or self.width < 16:
             raise ValueOutOfRange(f"images must be at least 16x16, got {self.height}x{self.width}")
-        lo, hi = self.fg_ratio_range
-        if not (0.0 < lo < hi < 0.5):
-            raise ValueOutOfRange(f"fg_ratio_range must satisfy 0 < lo < hi < 0.5, got {lo}, {hi}")
-        if not (0.0 <= self.blob_irregularity <= 1.0):
-            raise ValueOutOfRange(f"blob_irregularity must lie in [0, 1], got {self.blob_irregularity}")
-        if self.noise_sigma < 0.0:
-            raise ValueOutOfRange(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not (0.0 <= self.empty_slice_fraction < 1.0):
             raise ValueOutOfRange(
                 f"empty_slice_fraction must lie in [0, 1), got {self.empty_slice_fraction}"
@@ -109,22 +103,18 @@ def _draw_blob(rng: Rng, h: int, w: int, r0: float, irregularity: float) -> np.n
 
 def _draw_foreground(rng: Rng, cfg: GenConfig) -> np.ndarray:
     h, w = cfg.height, cfg.width
-    lo, hi = cfg.fg_ratio_range
+    lo, hi = FG_RATIO_RANGE
     for _ in range(MAX_ATTEMPTS):
         target = lo + rng.uniform() * (hi - lo)
         r0 = math.sqrt(target * h * w / math.pi)
-        m = _draw_blob(rng, h, w, r0, cfg.blob_irregularity)
+        m = _draw_blob(rng, h, w, r0, BLOB_IRREGULARITY)
         if m is None:
-            raise ValueOutOfRange(
-                f"fg_ratio_range {cfg.fg_ratio_range} needs blobs too large for {h}x{w} images"
-            )
+            raise ValueOutOfRange(f"FG_RATIO_RANGE {FG_RATIO_RANGE} needs blobs too large for {h}x{w} images")
         ratio = m.sum() / m.size
         border_clear = not (m[0].any() or m[-1].any() or m[:, 0].any() or m[:, -1].any())
         if lo <= ratio <= hi and border_clear and _single_component(m):
             return m
-    raise ValueOutOfRange(
-        f"no foreground matching fg_ratio_range {cfg.fg_ratio_range} in {MAX_ATTEMPTS} attempts"
-    )
+    raise ValueOutOfRange(f"no foreground matching FG_RATIO_RANGE {FG_RATIO_RANGE} in {MAX_ATTEMPTS} attempts")
 
 
 def _render_item(cfg: GenConfig, rng: Rng, empty: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +125,7 @@ def _render_item(cfg: GenConfig, rng: Rng, empty: bool) -> tuple[np.ndarray, np.
     coarse = rng.normals(gh * gw).reshape(gh, gw)
     low = gaussian_smooth(np.kron(coarse, np.ones((8, 8)))[:h, :w], _SMOOTH)
     grain = rng.uniforms(h * w).reshape(h, w) - 0.5
-    img = 0.35 + (0.06 * low + 0.08 * grain) * cfg.noise_sigma
+    img = 0.35 + (0.06 * low + 0.08 * grain)
 
     speckle = rng.uniforms(h * w).reshape(h, w)
     d_lo, d_hi = DISTRACTORS_PER_TYPE

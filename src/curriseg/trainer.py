@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .backbone import BackboneSpec, OptimizerConfig, init_params, train_step
-from .ema import DEFAULT_ALPHA, CacheModel, cache_forward, cache_init, cache_update
+from .backbone import BackboneSpec, OptimizerConfig, forward, init_params, train_step
+from .ema import DEFAULT_ALPHA, CacheModel, cache_init, cache_update
 from .errors import AlignmentError, CorruptManifest, EmptyDataset, NonFiniteLoss, ValueOutOfRange
 from .evaluation import dsc
 from .geometry import bbox_from_mask, crop_like, make_crop_record, threshold
@@ -190,7 +190,7 @@ def build_d2(
         if it.mask.is_empty():
             skipped += 1
             continue
-        p = cache_forward(spec, detection_cache, it.image)
+        p = forward(spec, detection_cache.params, it.image)
         box = bbox_from_mask(threshold(p, PredictConfig.crop_threshold))
         if box is None:
             fallbacks += 1
@@ -211,7 +211,7 @@ def detection_dsc(spec: BackboneSpec, cache: CacheModel, items) -> float:
         raise EmptyDataset("detection_dsc needs at least one item")
     total = 0.0
     for it in items:
-        pred = threshold(cache_forward(spec, cache, it.image), PredictConfig.crop_threshold)
+        pred = threshold(forward(spec, cache.params, it.image), PredictConfig.crop_threshold)
         total += dsc(pred, it.mask)
     return total / len(items)
 

@@ -9,7 +9,6 @@ from curriseg import (
     LayoutMismatch,
     ParamVector,
     Rng,
-    cache_forward,
     cache_init,
     cache_update,
     forward,
@@ -127,20 +126,12 @@ def test_constant_inputs_fixed_point():
     np.testing.assert_allclose(c.params.values, 2.5, rtol=1e-7)
 
 
-def test_cache_forward_equals_forward():
-    spec = BackboneSpec(depth=1, base_channels=2)
-    theta = init_params(spec, 5)
-    img = Image(Rng(6).uniforms(64).reshape(8, 8))
-    c = cache_init(theta)
-    assert np.array_equal(cache_forward(spec, c, img).probs, forward(spec, theta, img).probs)
-
-
 def test_cache_forward_differs_after_distinct_updates():
     spec = BackboneSpec(depth=1, base_channels=2)
     t0 = init_params(spec, 5)
     t1 = init_params(spec, 6)
     img = Image(Rng(7).uniforms(64).reshape(8, 8))
     c = cache_update(cache_init(t0, alpha=0.5), t1)
-    blended = cache_forward(spec, c, img).probs
+    blended = forward(spec, c.params, img).probs
     assert not np.array_equal(blended, forward(spec, t0, img).probs)
     assert not np.array_equal(blended, forward(spec, t1, img).probs)

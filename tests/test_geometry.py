@@ -18,7 +18,6 @@ from curriseg import (
     paste_back,
     threshold,
 )
-from curriseg.geometry import reflect_indices
 
 from conftest import rand_mask, rand_probs
 
@@ -225,10 +224,18 @@ def test_smooth_impulse_center_weight():
     assert abs(out[4, 4] - k.weights[3, 3]) < 1e-12
 
 
+# axes shorter than radius 3, where the border reflects more than once
+SHORT_AXES = [(1, 1), (1, 5), (2, 3), (3, 7)]
+
+
 def test_smooth_matches_quadruple_loop():
     k = GaussianKernel(sigma=1.0, radius=2)
     for seed in range(10):
         m = Rng(seed).uniforms(64).reshape(8, 8)
+        np.testing.assert_allclose(gaussian_smooth(m, k), _smooth_oracle(m, k), atol=1e-12)
+    k = GaussianKernel(sigma=1.0, radius=3)
+    for seed, (h, w) in enumerate(SHORT_AXES):
+        m = Rng(seed).uniforms(h * w).reshape(h, w)
         np.testing.assert_allclose(gaussian_smooth(m, k), _smooth_oracle(m, k), atol=1e-12)
 
 
@@ -250,15 +257,13 @@ def test_smooth_range_preserved():
 def test_adjoint_inner_product_identity():
     # <S x, y> == <x, S^T y> for random pairs: the adjoint really is the
     # transpose of the smoothing operator, border folding included
-    k = GaussianKernel(sigma=1.3, radius=2)
-    for seed in range(10):
-        x = Rng(seed).uniforms(48).reshape(6, 8)
-        y = Rng(seed + 999).uniforms(48).reshape(6, 8)
+    cases = [(GaussianKernel(sigma=1.3, radius=2), seed, (6, 8)) for seed in range(10)]
+    cases += [(GaussianKernel(sigma=1.0, radius=3), seed, hw) for seed, hw in enumerate(SHORT_AXES)]
+    for k, seed, (h, w) in cases:
+        x = Rng(seed).uniforms(h * w).reshape(h, w)
+        y = Rng(seed + 999).uniforms(h * w).reshape(h, w)
         lhs = float(np.sum(gaussian_smooth(x, k) * y))
         rhs = float(np.sum(x * gaussian_smooth_adjoint(y, k)))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_reflect_indices_small_axis():
-    np.testing.assert_array_equal(reflect_indices(4, 2), [2, 1, 0, 1, 2, 3, 2, 1])
-    np.testing.assert_array_equal(reflect_indices(1, 3), [0, 0, 0, 0, 0, 0, 0])

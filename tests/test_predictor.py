@@ -10,6 +10,7 @@ from curriseg import (
     PredictConfig,
     ValueOutOfRange,
     cache_init,
+    forward,
     generate,
     init_params,
     make_crop_record,
@@ -71,9 +72,7 @@ def test_mask_and_scores_zero_outside_window(caches, image):
     det, seg = caches
     # place the crop threshold at a high quantile of the detection scores so
     # the crop window is real and strictly smaller than the frame
-    from curriseg import cache_forward
-
-    scores = cache_forward(TINY, det, image).probs
+    scores = forward(TINY, det.params, image).probs
     t = float(np.quantile(scores, 0.97))
     if t >= scores.max():
         t = float(0.5 * (scores.min() + scores.max()))

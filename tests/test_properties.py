@@ -23,7 +23,6 @@ from curriseg import (
     paste_back,
     threshold,
 )
-from curriseg.geometry import reflect_indices
 from curriseg.losses import LossConfig
 from curriseg.rng import derive_seed
 from curriseg.types import ParamVector
@@ -59,15 +58,6 @@ def test_derive_seed_distinct_streams(seed, i):
     a = Rng(derive_seed(seed, i)).uniforms(4)
     b = Rng(derive_seed(seed, i + 1)).uniforms(4)
     assert not np.array_equal(a, b)
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=30))
-def test_reflect_indices_stay_in_bounds(n, pad):
-    idx = reflect_indices(n, pad)
-    assert idx.shape == (n + 2 * pad,)
-    assert idx.min() >= 0 and idx.max() < n
-    np.testing.assert_array_equal(idx[pad : pad + n], np.arange(n))
 
 
 @settings(deadline=None, max_examples=40)

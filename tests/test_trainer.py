@@ -24,10 +24,10 @@ from curriseg import (
     bbox_from_mask,
     build_d1,
     build_d2,
-    cache_forward,
     cache_init,
     crop_like,
     detection_dsc,
+    forward,
     generate,
     init_params,
     load_checkpoint,
@@ -148,7 +148,7 @@ def test_build_d2_crops_follow_cache_predictions():
     assert skipped == 0 and d2.phase_id == "D2"
     assert len(d2.items) == len(raw.items)
     for src, out in zip(raw.items, d2.items):
-        box = bbox_from_mask(threshold(cache_forward(TINY, cache, src.image), 0.5))
+        box = bbox_from_mask(threshold(forward(TINY, cache.params, src.image), 0.5))
         if box is None:
             h, w = src.image.shape
             from curriseg import BBox
@@ -167,7 +167,7 @@ def test_build_d2_fallback_counts_whole_image():
     layout_for(TINY).unpack(values)["head_b"][:] = -50.0
     cache = cache_init(ParamVector(values, theta.layout_id), 0.9)
     for it in raw.items:
-        assert threshold(cache_forward(TINY, cache, it.image), 0.5).is_empty()
+        assert threshold(forward(TINY, cache.params, it.image), 0.5).is_empty()
     d2, fallbacks, skipped = build_d2(raw, cache, TINY, margin=3, align=TINY.input_align)
     assert fallbacks == len(raw.items)
     for src, out in zip(raw.items, d2.items):
