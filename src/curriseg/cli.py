@@ -86,11 +86,7 @@ def load_config(path: str | None) -> dict:
 def cmd_gen(args) -> int:
     h, w = args.size
     cfg = GenConfig(
-        count=args.count,
-        height=h,
-        width=w,
-        empty_slice_fraction=args.empty_frac,
-        seed=args.seed,
+        count=args.count, height=h, width=w, empty_slice_fraction=args.empty_frac, seed=args.seed
     )
     phase = generate(cfg)
     save_phase(args.out, phase, _tree(cfg))

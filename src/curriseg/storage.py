@@ -16,7 +16,9 @@ A dataset directory holds ``images/<id>.pgm``, ``masks/<id>.pgm`` and a
 
 with file paths relative to the directory and an optional crop record
 (``source_shape``, ``box`` as [r0, c0, r1, c1], ``pad`` as [top, bottom,
-left, right]) when the item was cut out of a larger source.
+left, right]) when the item was cut out of a larger source. An id is a
+plain file name, unique within its manifest, and no path leaves the
+directory.
 
 A checkpoint is ``b"CKSM"`` + u32 version (little-endian) + u64 value
 count (little-endian) + that many little-endian float64 values (version
@@ -206,9 +208,21 @@ def load_phase(in_dir) -> tuple[DatasetPhase, dict]:
         raise CorruptManifest(f"{path}: expected an object with an 'items' list")
 
     items = []
-    for entry in manifest["items"]:
-        if not isinstance(entry, dict) or "image" not in entry or "mask" not in entry:
+    seen = set()
+    for i, entry in enumerate(manifest["items"]):
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in ("image", "mask")):
             raise CorruptManifest(f"{path}: bad item entry {entry!r}")
+        for key in ("image", "mask"):
+            rel = entry[key]
+            if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == "..":
+                raise CorruptManifest(f"{path}: {key} path {rel!r} leaves {root}")
+        # the name save_phase and predict give the item's files
+        name = entry.get("id") or f"img_{i:05d}"
+        if not isinstance(name, str):
+            raise CorruptManifest(f"{path}: item id {name!r} is not a string")
+        if name in seen:
+            raise CorruptManifest(f"{path}: duplicate item id {name!r}")
+        seen.add(name)
         img = load_image(root / entry["image"])
         msk = load_mask(root / entry["mask"])
         crop = crop_from_dict(entry["crop"]) if "crop" in entry else None

@@ -21,7 +21,9 @@ stage's optimizer seed and the stage ordinal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .backbone import BackboneSpec, OptimizerConfig, forward, init_params, train_step
@@ -315,13 +317,34 @@ def load_cache(path) -> CacheModel:
         raise CorruptManifest(f"{path}: sidecar is not a cache checkpoint: {exc}") from None
 
 
-class _RunDir:
-    """Stage-granular persistence and resume bookkeeping for run_full."""
+def _fingerprint(runnable, cfg, spec, loss_cfg, raw_train, raw_val) -> str:
+    """SHA-256 of everything a run directory's files depend on: the
+    stages, the configs and every training and validation item."""
+    k = loss_cfg.kernel
+    settings = [runnable, asdict(cfg), asdict(spec), [k.sigma, k.radius]]
+    h = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
+    for phase in (raw_train, raw_val):
+        items = phase.items if phase is not None else ()
+        h.update(b"\0%d" % len(items))
+        for it in items:
+            h.update(json.dumps([it.item_id, it.image.shape]).encode())
+            h.update(it.image.pixels.tobytes())
+            h.update(it.mask.labels.tobytes())
+    return h.hexdigest()
 
-    def __init__(self, out: Path | None, runnable: list[str], resume: bool, seed: int):
+
+class _RunDir:
+    """Stage-granular persistence and resume bookkeeping for run_full.
+
+    `status.json` names the run that wrote it by its `_fingerprint`, and
+    lists the stages that run has completed.
+    """
+
+    def __init__(self, out: Path | None, runnable: list[str], resume: bool, seed: int, run: str | None):
         self.out = out
         self.runnable = runnable
         self.seed = seed
+        self.run = run
         self.completed: list[str] = []
         self.prior: list[EpochRecord] = []
         if out is None:
@@ -330,15 +353,14 @@ class _RunDir:
         status = out / "status.json"
         if resume and status.exists():
             doc = read_json(status)
-            done = doc.get("completed") if isinstance(doc, dict) else None
-            if not isinstance(done, list):
-                raise CorruptManifest(f"{status}: expected an object with a 'completed' list")
-            # only a prefix of this run's stage sequence is trustworthy
-            for name in runnable:
-                if name in done:
-                    self.completed.append(name)
-                else:
-                    break
+            if not isinstance(doc, dict) or doc.get("run") != run:
+                raise CorruptManifest(f"{status} was written by another run; rerun without --resume")
+            done = doc.get("completed")
+            if not isinstance(done, list) or done != runnable[: len(done)]:
+                raise CorruptManifest(
+                    f"{status}: {done!r} is not a prefix of {runnable}; rerun without --resume"
+                )
+            self.completed = done
             # a crash inside mark_done can leave a cache one stage ahead
             for cache_file, stage in {STAGES[n][2]: n for n in self.completed}.items():
                 got = load_checkpoint(out / f"{cache_file}.ckpt")[1].get("stage")
@@ -352,7 +374,7 @@ class _RunDir:
         else:
             # an older run's D2 is not this run's; its manifest goes first
             (out / "d2" / "manifest.json").unlink(missing_ok=True)
-            write_json(status, {"completed": []})
+            write_json(status, {"run": run, "completed": []})
 
     def resumable(self, name: str) -> bool:
         return name in self.completed
@@ -373,7 +395,7 @@ class _RunDir:
         write_json(self.out / "history.json", history_to_json(history))
         # last, so that a stage counts as done only once all of its files are
         self.completed = self.runnable[: self.runnable.index(name) + 1]
-        write_json(self.out / "status.json", {"completed": self.completed})
+        write_json(self.out / "status.json", {"run": self.run, "completed": self.completed})
 
 
 def run_full(
@@ -393,7 +415,8 @@ def run_full(
     weights straight through, preserving the inheritance chain. With
     `out_dir` set, stage checkpoints, the cache-cropped dataset, and the
     history log are persisted after every stage; `resume=True` picks a
-    previous run back up at stage granularity (same config expected).
+    previous run back up at stage granularity, and refuses a directory
+    that another run (other stages, config or data) wrote.
     Every image must have sides that are multiples of
     `spec.input_align`, and some training mask must be non-empty; both are
     checked before anything is trained or written.
@@ -416,7 +439,9 @@ def run_full(
     data = {"1": d1, "3": raw_train}
 
     runnable = [f"phase{s}" for s in DETECTION_PHASES if s in active] + ["segmentation"]
-    rd = _RunDir(Path(out_dir) if out_dir is not None else None, runnable, resume, cfg.seed)
+    out = Path(out_dir) if out_dir is not None else None
+    run = _fingerprint(runnable, cfg, spec, loss_cfg, raw_train, raw_val) if out is not None else None
+    rd = _RunDir(out, runnable, resume, cfg.seed, run)
     history: list[EpochRecord] = []
 
     def materialize_d2(det: CacheModel) -> DatasetPhase:

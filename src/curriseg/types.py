@@ -183,7 +183,10 @@ class ParamVector:
 
 @dataclass(frozen=True, eq=False)
 class DatasetItem:
-    """One training example plus optional crop provenance."""
+    """One training example plus optional crop provenance.
+
+    `item_id` names the item's files, so it must be a plain file name.
+    """
 
     image: Image
     mask: Mask
@@ -193,6 +196,9 @@ class DatasetItem:
     def __post_init__(self):
         if self.image.shape != self.mask.shape:
             raise ShapeMismatch(f"image shape {self.image.shape} != mask shape {self.mask.shape}")
+        i = self.item_id
+        if i is not None and (not isinstance(i, str) or i in ("", ".", "..") or any(c in i for c in "/\\\0")):
+            raise ValueOutOfRange(f"item id {i!r} is not a plain file name")
         if self.crop is not None and self.crop.out_shape != self.image.shape:
             raise ShapeMismatch(
                 f"crop record implies {self.crop.out_shape}, image is {self.image.shape}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from curriseg import GenConfig, OptimizerConfig, PhaseConfig, PredictConfig, derive_seed, generate, read_pgm
-from curriseg import cli
+from curriseg import cli, trainer
 from curriseg.cli import entry, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -178,7 +178,7 @@ def test_train_bad_data_leaves_no_run_directory(tmp_path, capsys):
     assert not run.exists()
 
 
-def test_train_resume_completes_quickly(workspace, tmp_path):
+def test_train_resume_completes_quickly(workspace, tmp_path, monkeypatch):
     run = tmp_path / "res"
     args = [
         "train",
@@ -187,11 +187,20 @@ def test_train_resume_completes_quickly(workspace, tmp_path):
         "--out", str(run),
         "--config", str(workspace / "config.json"),
     ]
-    # a run stopped after phase II: its files are those of a run without
-    # phase III, whose detection cache ends at phase II
-    assert entry(args + ["--ablate-phases", "3"]) == 0
+    # a run stopped after phase II
+    run_phase = trainer.run_phase
+
+    def stop_before_phase3(stage, *a, **kw):
+        if stage == "phase3":
+            raise KeyboardInterrupt("stopped before phase3")
+        return run_phase(stage, *a, **kw)
+
+    monkeypatch.setattr(trainer, "run_phase", stop_before_phase3)
+    with pytest.raises(KeyboardInterrupt):
+        entry(args)
+    monkeypatch.undo()
     status = run / "status.json"
-    status.write_text(json.dumps({"completed": ["phase1", "phase2"]}) + "\n")
+    assert json.loads(status.read_text())["completed"] == ["phase1", "phase2"]
     assert entry(args + ["--resume"]) == 0
     assert json.loads(status.read_text())["completed"] == [
         "phase1",
@@ -201,6 +210,28 @@ def test_train_resume_completes_quickly(workspace, tmp_path):
     ]
     history = json.loads((run / "history.json").read_text())
     assert [e["phase"] for e in history["entries"]] == ["I", "II", "III", "seg", "seg"]
+
+
+def test_train_resume_refuses_another_runs_directory(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(workspace / "run", run)
+    before = tree_bytes(run)
+    config = tmp_path / "other.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "run": {**TINY_CONFIG["run"], "seed": 4}}))
+    rc = entry(
+        [
+            "train",
+            "--data", str(workspace / "train"),
+            "--val", str(workspace / "val"),
+            "--out", str(run),
+            "--config", str(config),
+            "--resume",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.rstrip().endswith("rerun without --resume")
+    assert tree_bytes(run) == before
+
 
 
 # ----------------------------------------------------------------- config
@@ -430,6 +461,19 @@ def test_predict_missing_checkpoints(workspace, tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+
+def test_predict_refuses_item_id_that_leaves_out_dir(workspace, tmp_path, capsys):
+    data = tmp_path / "in" / "val"
+    shutil.copytree(workspace / "val", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["items"][0]["id"] = "../escaped"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    before = sorted(tmp_path.rglob("*"))
+    rc = entry(["predict", "--run", str(workspace / "run"), "--input", str(data), "--out", str(tmp_path / "p")])
+    assert rc == 1
+    assert "'../escaped'" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ------------------------------------------------------------------- eval

@@ -18,6 +18,7 @@ from curriseg import (
     MissingFile,
     ParamVector,
     Rng,
+    ValueOutOfRange,
     VersionUnsupported,
     generate,
     GenConfig,
@@ -177,6 +178,59 @@ def test_phase_rejects_unknown_id(tmp_path):
     (d / "manifest.json").write_text(json.dumps({"meta": {"phase_id": "D7"}, "items": []}))
     with pytest.raises(CorruptManifest):
         load_phase(d)
+
+
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def edited_dataset(tmp_path, edit):
+    """A saved three-item dataset whose manifest items went through `edit`."""
+    d = tmp_path / "in" / "d"
+    save_phase(d, generate(GenConfig(count=3, height=16, width=16, seed=1)))
+    manifest = json.loads((d / "manifest.json").read_text())
+    edit(manifest["items"])
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    return d
+
+
+def test_item_id_that_leaves_the_directory_is_refused(tmp_path):
+    def escape(items):
+        items[1]["id"] = "../../escaped"
+
+    d = edited_dataset(tmp_path, escape)
+    before = files_under(tmp_path)
+    with pytest.raises(ValueOutOfRange, match="'../../escaped'"):
+        phase, _ = load_phase(d)
+        save_phase(tmp_path / "out" / "d", phase)
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda items: items[2].update(id=items[0]["id"]), id="duplicate_id"),
+        # an item without an id is named by its index, as save_phase names it
+        pytest.param(lambda items: (items[0].pop("id"), items[1].update(id="img_00000")), id="duplicate_default_id"),
+        pytest.param(lambda items: items[1].update(image="/outside/img_00001.pgm"), id="absolute_image"),
+        pytest.param(lambda items: items[1].update(mask="../masks/img_00001.pgm"), id="parent_mask"),
+        pytest.param(lambda items: items[1].update(image="images/../../d/images/img_00001.pgm"), id="dotdot_image"),
+        pytest.param(lambda items: items[1].update(id=["img"]), id="list_id"),
+    ],
+)
+def test_manifest_with_clashing_or_escaping_entries_is_refused(tmp_path, edit):
+    d = edited_dataset(tmp_path, edit)
+    before = files_under(tmp_path)
+    with pytest.raises(CorruptManifest):
+        phase, _ = load_phase(d)
+        save_phase(tmp_path / "out" / "d", phase)
+    assert files_under(tmp_path) == before
+
+
+def test_manifest_paths_inside_the_directory_are_read(tmp_path):
+    d = edited_dataset(tmp_path, lambda items: items[1].update(image="masks/../images/img_00001.pgm"))
+    phase, _ = load_phase(d)
+    assert [it.item_id for it in phase.items] == ["img_00000", "img_00001", "img_00002"]
 
 
 def test_json_artifact_round_trip_and_errors(tmp_path):

@@ -13,8 +13,10 @@ from curriseg import (
     DatasetItem,
     DatasetPhase,
     EmptyDataset,
+    GaussianKernel,
     GenConfig,
     Image,
+    LossConfig,
     Mask,
     NonFiniteLoss,
     OptimizerConfig,
@@ -439,26 +441,43 @@ def test_resume_completed_run_reloads_everything(tmp_path):
     assert second.stats["d2_fallbacks"] == first.stats["d2_fallbacks"]
 
 
-def test_resume_reruns_unfinished_suffix(tmp_path):
+def stop_before(monkeypatch, stage):
+    """Make trainer.run_phase raise KeyboardInterrupt when `stage` starts."""
+    run_phase = trainer.run_phase
+
+    def stop(name, *args, **kwargs):
+        if name == stage:
+            raise KeyboardInterrupt(f"stopped before {name}")
+        return run_phase(name, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "run_phase", stop)
+
+
+def test_resume_reruns_unfinished_suffix(tmp_path, monkeypatch):
     raw = raw_phase()
     out = tmp_path / "run"
-    # a run stopped after phase I: its detection cache ends at phase I
-    run_full(raw, None, tiny_cfg(), TINY, out_dir=out, phases=["1"])
+    # a run stopped after phase I
+    stop_before(monkeypatch, "phase2")
+    with pytest.raises(KeyboardInterrupt):
+        run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
+    monkeypatch.undo()
     status = out / "status.json"
-    status.write_text(json.dumps({"completed": ["phase1"]}, indent=2) + "\n")
+    assert json.loads(status.read_text())["completed"] == ["phase1"]
     rs = run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
     assert [r.phase for r in rs.history] == ["I", "II", "III", "seg"]
     assert json.loads(status.read_text())["completed"][-1] == "segmentation"
 
 
-def test_resume_after_phase2_continues_from_checkpoints(tmp_path):
+def test_resume_after_phase2_continues_from_checkpoints(tmp_path, monkeypatch):
     raw = raw_phase()
     cfg = tiny_cfg()
     out = tmp_path / "run"
-    # a run stopped after phase II: its files are those of a run without
-    # phase III, whose detection cache ends at phase II
-    run_full(raw, None, cfg, TINY, out_dir=out, phases=["1", "2"])
-    (out / "status.json").write_text(json.dumps({"completed": ["phase1", "phase2"]}) + "\n")
+    # a run stopped after phase II
+    stop_before(monkeypatch, "phase3")
+    with pytest.raises(KeyboardInterrupt):
+        run_full(raw, None, cfg, TINY, out_dir=out)
+    monkeypatch.undo()
+    assert json.loads((out / "status.json").read_text())["completed"] == ["phase1", "phase2"]
     theta2, _ = load_checkpoint(out / "phase2.ckpt")
     det = load_cache(out / "detection_cache.ckpt")
     d1, _ = build_d1(raw, cfg.crop_margin, TINY.input_align)
@@ -536,19 +555,12 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
 
 
-@pytest.mark.parametrize("stop_before", ["phase2", "phase3", "segmentation"])
-def test_resume_at_each_stage_boundary_matches_straight_run(tmp_path, monkeypatch, stop_before):
+@pytest.mark.parametrize("stage", ["phase2", "phase3", "segmentation"])
+def test_resume_at_each_stage_boundary_matches_straight_run(tmp_path, monkeypatch, stage):
     raw, val = raw_phase(), raw_phase(count=3, seed=9)
     run_full(raw, val, tiny_cfg(), TINY, out_dir=tmp_path / "straight")
     out = tmp_path / "run"
-    run_phase = trainer.run_phase
-
-    def stop(stage, *args, **kwargs):
-        if stage == stop_before:
-            raise KeyboardInterrupt(f"stopped before {stage}")
-        return run_phase(stage, *args, **kwargs)
-
-    monkeypatch.setattr(trainer, "run_phase", stop)
+    stop_before(monkeypatch, stage)
     with pytest.raises(KeyboardInterrupt):
         run_full(raw, val, tiny_cfg(), TINY, out_dir=out)
     monkeypatch.undo()
@@ -597,8 +609,55 @@ def test_resume_refuses_cache_rewritten_after_status(tmp_path):
     out = tmp_path / "run"
     run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
     # a finished run whose status is set back: the cache is phase III's
-    (out / "status.json").write_text(json.dumps({"completed": ["phase1", "phase2"]}) + "\n")
+    status = out / "status.json"
+    status.write_text(json.dumps({**json.loads(status.read_text()), "completed": ["phase1", "phase2"]}))
     with pytest.raises(CorruptManifest, match="phase2.*phase3.*without --resume"):
+        run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        {"phases": ["2"]},
+        {"cfg": tiny_cfg(alpha=0.5)},
+        {"spec": BackboneSpec(depth=1, base_channels=3)},
+        {"loss_cfg": LossConfig(GaussianKernel(sigma=2.0, radius=3))},
+        {"raw": raw_phase(seed=4)},
+        {"val": None},
+    ],
+    ids=["phases", "config", "backbone", "loss_kernel", "training_data", "validation_data"],
+)
+def test_resume_refuses_another_runs_directory(tmp_path, first):
+    same = {"raw": raw_phase(), "val": raw_phase(count=3, seed=9), "cfg": tiny_cfg(), "spec": TINY}
+    # the first run into the directory differs from the resumed one in one respect
+    a = {**same, **first}
+    out = tmp_path / "run"
+    run_full(a["raw"], a["val"], a["cfg"], a["spec"], a.get("loss_cfg", LossConfig()), out, a.get("phases"))
+    before = tree_bytes(out)
+    with pytest.raises(CorruptManifest, match="another run.*rerun without --resume$"):
+        run_full(same["raw"], same["val"], same["cfg"], TINY, out_dir=out, resume=True)
+    assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # a status.json as older versions wrote it, naming no run
+        (lambda doc: doc.pop("run"), "another run"),
+        # this run's fingerprint, but a stage list that skips phase I
+        (lambda doc: doc.update(completed=["phase2"]), "not a prefix"),
+    ],
+    ids=["no_run", "not_a_prefix"],
+)
+def test_resume_refuses_foreign_or_non_prefix_status(tmp_path, edit, match):
+    raw = raw_phase()
+    out = tmp_path / "run"
+    run_full(raw, None, tiny_cfg(), TINY, out_dir=out)
+    status = out / "status.json"
+    doc = json.loads(status.read_text())
+    edit(doc)
+    status.write_text(json.dumps(doc))
+    with pytest.raises(CorruptManifest, match=f"{match}.*rerun without --resume$"):
         run_full(raw, None, tiny_cfg(), TINY, out_dir=out, resume=True)
 
 

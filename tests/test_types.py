@@ -89,6 +89,16 @@ def test_dataset_item_shape_consistency():
         DatasetItem(img, Mask(np.zeros((4, 4), dtype=np.uint8)), crop=bad)
 
 
+@pytest.mark.parametrize("item_id", ["", ".", "..", "../../escaped", "a/b", "a\\b", "nul\0", 7])
+def test_dataset_item_id_must_be_plain_file_name(item_id):
+    img = Image(np.full((4, 4), 0.5))
+    msk = Mask(np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(ValueOutOfRange, match="item id"):
+        DatasetItem(img, msk, None, item_id)
+    for fine in (None, "img_00001", "a.b", "..a"):
+        assert DatasetItem(img, msk, None, fine).item_id == fine
+
+
 def test_raw_phase_forbids_crop_records():
     img = Image(np.full((4, 4), 0.5))
     msk = Mask(np.zeros((4, 4), dtype=np.uint8))
