@@ -32,7 +32,7 @@ from .types import DatasetItem, DatasetPhase, Image, Mask
 _SMOOTH = GaussianKernel(sigma=1.0, radius=3)
 # Each image gets between these many decoys of each type, inclusive.
 DISTRACTORS_PER_TYPE = (3, 5)
-# Foreground pixels per image pixel: each item's foreground lands in here.
+# Share of the image a non-empty item's foreground covers.
 FG_RATIO_RANGE = (0.008, 0.02)
 # Angular-harmonic amplitude of the foreground blob, in [0, 1].
 BLOB_IRREGULARITY = 0.5
@@ -125,6 +125,7 @@ def _render_item(cfg: GenConfig, rng: Rng, empty: bool) -> tuple[np.ndarray, np.
     coarse = rng.normals(gh * gw).reshape(gh, gw)
     low = gaussian_smooth(np.kron(coarse, np.ones((8, 8)))[:h, :w], _SMOOTH)
     grain = rng.uniforms(h * w).reshape(h, w) - 0.5
+    # texture summed first: another grouping rounds differently
     img = 0.35 + (0.06 * low + 0.08 * grain)
 
     speckle = rng.uniforms(h * w).reshape(h, w)
